@@ -8,22 +8,46 @@ consecutive terms for primality and emitting a record whenever both are
 (22419767768701, 107419560853453).  Checkpoints are plain ASCII files
 written atomically so that interrupting and resuming reproduces the
 uninterrupted output byte for byte.
+
+Each pair (t_n, t_{n+1}) goes through four stages, cheapest first, and
+only a pair that passes one stage reaches the next:
+
+(a) Trial division of every term by the primes below 10**5 that can
+    divide a chain term.  A term t divides sigma(y^m) = 1 + y + ... + y^m
+    for its neighbour y.  If a prime p divides that sum and y = 1 (mod p),
+    the sum is m + 1 (mod p), so p | m + 1.  Otherwise y^(m+1) = 1 with
+    y != 1 (mod p), so the order of y mod p is a divisor > 1 of both
+    m + 1 and p - 1.  Only primes with p | m + 1 or gcd(p - 1, m + 1) > 1
+    can divide a term: for m = 2 that is 3 and the primes = 1 (mod 3),
+    about half the list.  Terms below 2**64 skip this stage.
+(b) Pairing: a pair is a candidate only when both terms survive (a).
+(c) Screening: one Miller-Rabin round, ``is_prime(x, 1)``, on each term
+    of a candidate.  Its base is round 0 of the full test, so a term the
+    screen rejects is rejected by the full test too.
+(d) Confirmation: the full ``is_prime(x, rounds)`` on both terms, once
+    both passed (c).  The verdicts in a :class:`PairRecord` come from
+    this call.
+
+Every stage rejects only composites, so the records equal those of a
+full test on every pair.  Each stage runs at most once per term.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
 
 from .arith import (
     DEFAULT_ROUNDS,
-    Primality,
+    DETERMINISTIC_LIMIT,
     PrimalityVerdict,
     bounded_square_part,
     decimal_digits,
     is_prime,
     sigma_power,
+    small_primes,
 )
 from .chains import NonIntegralStep, chain_terms, is_quasisolution
 
@@ -171,7 +195,16 @@ def _validate_checkpoint(checkpoint: SearchCheckpoint) -> None:
         raise CheckpointMismatch(
             f"({checkpoint.prev}, {checkpoint.curr}) is not a valid chain state"
         )
+    last_index = 0
     for record in checkpoint.found:
+        # a walk records (t_k, t_{k+1}) and then steps past it, so the
+        # indices strictly increase and stay in 1 .. n - 2
+        if not last_index < record.index <= checkpoint.n - 2:
+            raise CheckpointMismatch(
+                f"recorded pair index {record.index} is out of order or "
+                f"beyond the walk position n={checkpoint.n}"
+            )
+        last_index = record.index
         if not is_quasisolution(record.p, record.q, checkpoint.m):
             raise CheckpointMismatch(
                 f"recorded pair at index {record.index} is not a quasisolution"
@@ -182,46 +215,39 @@ def _validate_checkpoint(checkpoint: SearchCheckpoint) -> None:
             )
 
 
-def _classify(term: int, rounds: int) -> PrimalityVerdict:
-    # Every third chain term is divisible by 3; reject those before the
-    # full trial division.
-    if term > 3 and term % 3 == 0:
-        return PrimalityVerdict(Primality.COMPOSITE, witness=3)
-    return is_prime(term, rounds)
+@functools.cache
+def _trial_primes(m: int) -> tuple[int, ...]:
+    """The primes below the trial-division bound that can divide a chain
+    term for exponent m (stage (a) in the module docstring)."""
+    return tuple(
+        p for p in small_primes() if (m + 1) % p == 0 or math.gcd(p - 1, m + 1) > 1
+    )
 
 
-class _VerdictSource:
-    """Primality verdicts by chain index, optionally prefetched on a
-    thread pool.  Verdicts depend only on (term, rounds), so any
-    schedule yields identical results."""
+class _Term:
+    """One chain term in the pipeline.  Stage (a) runs on construction;
+    stages (c) and (d) run on demand and are cached, so a term is never
+    retested when it moves from ``curr`` to ``prev``."""
 
-    def __init__(self, rounds: int, threads: int):
-        self.rounds = rounds
-        self.threads = max(1, threads)
-        self._futures: dict[int, object] = {}
-        self._executor = None
-        if self.threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
+    __slots__ = ("value", "survives", "_screened", "_verdict")
 
-            self._executor = ThreadPoolExecutor(max_workers=self.threads)
+    def __init__(self, value: int, primes: tuple[int, ...]):
+        self.value = value
+        # Above 2**64 no term equals one of the primes, so any hit is a
+        # proper factor; smaller terms go straight to the exact test.
+        self.survives = value < DETERMINISTIC_LIMIT or 0 not in map(value.__mod__, primes)
+        self._screened: bool | None = None
+        self._verdict: PrimalityVerdict | None = None
 
-    def prefetch(self, index: int, term: int) -> None:
-        if self._executor is not None and index not in self._futures:
-            self._futures[index] = self._executor.submit(_classify, term, self.rounds)
+    def screened(self) -> bool:
+        if self._screened is None:
+            self._screened = is_prime(self.value, 1).is_probable_prime
+        return self._screened
 
-    def get(self, index: int, term: int) -> PrimalityVerdict:
-        future = self._futures.get(index)
-        if future is not None:
-            return future.result()
-        return _classify(term, self.rounds)
-
-    def evict_below(self, index: int) -> None:
-        for stale in [i for i in self._futures if i < index]:
-            del self._futures[stale]
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
+    def verdict(self, rounds: int) -> PrimalityVerdict:
+        if self._verdict is None:
+            self._verdict = is_prime(self.value, rounds)
+        return self._verdict
 
 
 def search_pairs(
@@ -244,12 +270,15 @@ def search_pairs(
     exceeds ``digits_limit`` decimal digits, or after ``max_steps``
     pairs when given (the checkpoint then allows resuming).  Checkpoints
     are written every ``checkpoint_every`` steps when ``checkpoint_path``
-    is set, and once more at the end.
+    is set, and once more at the end.  ``threads`` is accepted for
+    compatibility and ignored: the walk runs on the calling thread.
     """
     if digits_limit < 1:
         raise ValueError(f"digits limit must be >= 1, got {digits_limit}")
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint cadence must be >= 1, got {checkpoint_every}")
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
 
     if checkpoint is not None:
         if checkpoint.m != m:
@@ -266,56 +295,54 @@ def search_pairs(
         n, prev, curr = 2, a, b
         found = []
 
-    source = _VerdictSource(rounds, threads)
-    prev_verdict: PrimalityVerdict | None = None
+    primes = _trial_primes(m)
+    prev_term = _Term(prev, primes)
     steps = 0
     overflow = 10**digits_limit  # curr >= overflow means too many digits
-    try:
-        while True:
-            if curr >= overflow:
-                break
-            if max_steps is not None and steps >= max_steps:
-                break
-            source.prefetch(n - 1, prev)
-            source.prefetch(n, curr)
-            if prev_verdict is None:
-                prev_verdict = source.get(n - 1, prev)
-            curr_verdict: PrimalityVerdict | None = None
-            if prev_verdict.is_probable_prime:
-                curr_verdict = source.get(n, curr)
-                if curr_verdict.is_probable_prime:
-                    found.append(
-                        PairRecord(
-                            m=m,
-                            index=n - 1,
-                            p=prev,
-                            q=curr,
-                            p_verdict=prev_verdict,
-                            q_verdict=curr_verdict,
-                            digits_q=decimal_digits(curr),
-                        )
+    while True:
+        if curr >= overflow:
+            break
+        if max_steps is not None and steps >= max_steps:
+            break
+        curr_term = _Term(curr, primes)
+        if (
+            prev_term.survives
+            and curr_term.survives
+            and prev_term.screened()
+            and curr_term.screened()
+        ):
+            p_verdict = prev_term.verdict(rounds)
+            q_verdict = curr_term.verdict(rounds)
+            if p_verdict.is_probable_prime and q_verdict.is_probable_prime:
+                found.append(
+                    PairRecord(
+                        m=m,
+                        index=n - 1,
+                        p=prev,
+                        q=curr,
+                        p_verdict=p_verdict,
+                        q_verdict=q_verdict,
+                        digits_q=decimal_digits(curr),
                     )
-            # advance to the state holding (t_n, t_{n+1})
-            numerator = sigma_power(curr, m)
-            nxt, remainder = divmod(numerator, prev)
-            if remainder:
-                raise NonIntegralStep(
-                    f"{prev} does not divide sigma({curr}^{m}) at index {n - 1}"
                 )
-            prev, curr, n = curr, nxt, n + 1
-            prev_verdict = curr_verdict
-            source.evict_below(n - 1)
-            steps += 1
-            if checkpoint_path is not None and steps % checkpoint_every == 0:
-                write_checkpoint(
-                    checkpoint_path,
-                    SearchCheckpoint(
-                        m=m, n=n, prev=prev, curr=curr,
-                        found=tuple(found), digits_limit=digits_limit,
-                    ),
-                )
-    finally:
-        source.close()
+        # advance to the state holding (t_n, t_{n+1})
+        numerator = sigma_power(curr, m)
+        nxt, remainder = divmod(numerator, prev)
+        if remainder:
+            raise NonIntegralStep(
+                f"{prev} does not divide sigma({curr}^{m}) at index {n - 1}"
+            )
+        prev, curr, n = curr, nxt, n + 1
+        prev_term = curr_term
+        steps += 1
+        if checkpoint_path is not None and steps % checkpoint_every == 0:
+            write_checkpoint(
+                checkpoint_path,
+                SearchCheckpoint(
+                    m=m, n=n, prev=prev, curr=curr,
+                    found=tuple(found), digits_limit=digits_limit,
+                ),
+            )
 
     if checkpoint_path is not None:
         write_checkpoint(

@@ -5,12 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmapairs.arith import Primality
-from sigmapairs.chains import NonIntegralStep, chain_terms
+from sigmapairs import search
+from sigmapairs.arith import (
+    DEFAULT_ROUNDS,
+    Primality,
+    decimal_digits,
+    is_prime,
+    sigma_power,
+    small_primes,
+)
+from sigmapairs.chains import NonIntegralStep, chain_next, chain_terms, start_state
 from sigmapairs.search import (
     CheckpointFormatError,
     CheckpointMismatch,
     NotOnKnownChain,
+    PairRecord,
     SearchCheckpoint,
     enumerate_seeds,
     heuristic_tail,
@@ -75,6 +84,80 @@ class TestSearchPairs:
         single = search_pairs(2, digits_limit=20, threads=1)
         pooled = search_pairs(2, digits_limit=20, threads=4)
         assert single == pooled
+
+    def test_rejects_zero_rounds(self):
+        with pytest.raises(ValueError):
+            search_pairs(2, digits_limit=5, rounds=0)
+
+
+def _reference_search(m, seed, digits_limit, rounds=DEFAULT_ROUNDS):
+    """Full primality test on both terms of every consecutive pair."""
+    overflow = 10**digits_limit
+    state = start_state(m, seed)
+    records = []
+    while state.curr < overflow:
+        p_verdict = is_prime(state.prev, rounds)
+        q_verdict = is_prime(state.curr, rounds)
+        if p_verdict.is_probable_prime and q_verdict.is_probable_prime:
+            records.append(
+                PairRecord(
+                    m=m,
+                    index=state.n - 1,
+                    p=state.prev,
+                    q=state.curr,
+                    p_verdict=p_verdict,
+                    q_verdict=q_verdict,
+                    digits_q=decimal_digits(state.curr),
+                )
+            )
+        state = chain_next(state)
+    return records
+
+
+class TestCandidatePipeline:
+    @pytest.mark.parametrize("m", [2, 3, 4, 6])
+    def test_every_small_prime_factor_of_a_neighbour_sum_is_tried(self, m):
+        # a chain term divides sigma(y^m) for its neighbour y, so every
+        # prime that can divide a term must be in the restricted list
+        tried = set(search._trial_primes(m))
+        primes = small_primes(1000)
+        for x in range(1, 2001):
+            value = sigma_power(x, m)
+            for p in primes:
+                if value % p == 0:
+                    assert p in tried, (m, x, p)
+
+    def test_restricted_list_for_m2_is_three_and_one_mod_three(self):
+        assert search._trial_primes(2) == tuple(
+            p for p in small_primes() if p == 3 or p % 3 == 1
+        )
+
+    @pytest.mark.parametrize(
+        "digits, rounds", [(1, 40), (2, 40), (20, 40), (60, 2), (100, 40), (300, 40)]
+    )
+    def test_m2_matches_full_test_of_every_pair(self, digits, rounds):
+        assert search_pairs(2, digits_limit=digits, rounds=rounds) == _reference_search(
+            2, (1, 1), digits, rounds
+        )
+
+    @pytest.mark.parametrize("seed", [(5, 11), (61, 131), (101, 491)])
+    def test_m4_seeds_match_full_test_of_every_pair(self, seed):
+        assert search_pairs(4, seed=seed, digits_limit=1000) == _reference_search(
+            4, seed, 1000
+        )
+
+    def test_no_term_is_tested_twice(self, monkeypatch):
+        calls = []
+
+        def counting(x, rounds=DEFAULT_ROUNDS):
+            if x > 1:  # t_1 = t_2 = 1; every later term is new
+                calls.append((x, rounds))
+            return is_prime(x, rounds)
+
+        monkeypatch.setattr(search, "is_prime", counting)
+        search_pairs(2, digits_limit=300)
+        assert calls
+        assert len(calls) == len(set(calls))
 
 
 class TestCheckpoints:
@@ -145,6 +228,25 @@ class TestCheckpoints:
         path = str(tmp_path / "walk.ck")
         open(path, "w").write(
             "sigma-chain-checkpoint v1\nm=2\nn=6\nprev=61\ncurr=291\npair 4 61 291\n"
+        )
+        with pytest.raises(CheckpointMismatch):
+            load_checkpoint(path)
+
+    def test_rejects_duplicated_pair_line(self, tmp_path):
+        path = str(tmp_path / "walk.ck")
+        open(path, "w").write(
+            "sigma-chain-checkpoint v1\nm=2\nn=6\nprev=61\ncurr=291\n"
+            "pair 3 3 13\npair 3 3 13\n"
+        )
+        with pytest.raises(CheckpointMismatch):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("index", [0, 4, 5])
+    def test_rejects_pair_index_outside_the_walk(self, tmp_path, index):
+        # at n = 5 the walk has recorded at most the pair at index 3
+        path = str(tmp_path / "walk.ck")
+        open(path, "w").write(
+            f"sigma-chain-checkpoint v1\nm=2\nn=5\nprev=13\ncurr=61\npair {index} 3 13\n"
         )
         with pytest.raises(CheckpointMismatch):
             load_checkpoint(path)
