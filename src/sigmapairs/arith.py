@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd, isqrt
@@ -71,14 +72,9 @@ _SMALL_PRIMES = _sieve(TRIAL_DIVISION_BOUND)
 
 def small_primes(bound: int = TRIAL_DIVISION_BOUND) -> tuple[int, ...]:
     """Primes up to ``bound`` (cached for the default trial-division bound)."""
-    if bound >= TRIAL_DIVISION_BOUND:
-        if bound == TRIAL_DIVISION_BOUND:
-            return _SMALL_PRIMES
+    if bound > TRIAL_DIVISION_BOUND:
         return _sieve(bound)
-    cut = 0
-    while cut < len(_SMALL_PRIMES) and _SMALL_PRIMES[cut] <= bound:
-        cut += 1
-    return _SMALL_PRIMES[:cut]
+    return _SMALL_PRIMES[: bisect_right(_SMALL_PRIMES, bound)]
 
 
 class Primality(Enum):

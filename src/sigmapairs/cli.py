@@ -99,7 +99,6 @@ def _cmd_search(args):
         rounds=args.mr_rounds,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
-        threads=args.threads,
         max_steps=args.max_steps,
     )
     params = {
@@ -163,8 +162,11 @@ def _cmd_lemmas(args):
     reports = []
     for lemma_id in selected:
         func, default_bound = oracles.ORACLES[lemma_id]
-        reports.append(func(args.bound if args.bound else default_bound))
-    params = {"only": args.only, "bound": str(args.bound) if args.bound else None}
+        reports.append(func(default_bound if args.bound is None else args.bound))
+    params = {
+        "only": args.only,
+        "bound": None if args.bound is None else str(args.bound),
+    }
     results = [_oracle_report_json(r) for r in reports]
     text = []
     for r in reports:
@@ -193,9 +195,13 @@ def _cmd_certify(args):
     }
 
     if args.optimize:
-        objective = certify_mod.form(
-            *(Fraction(tok) for tok in args.objective.split())
-        )
+        tokens = args.objective.split()
+        if len(tokens) != 3:
+            raise ValueError(f"objective must be 'ca cb cc', got {args.objective!r}")
+        try:
+            objective = certify_mod.form(*map(Fraction, tokens))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"objective {args.objective!r} divides by zero") from exc
         cert = certify_mod.optimize(system, objective)
         results = {
             "certificate": {

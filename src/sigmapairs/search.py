@@ -100,16 +100,13 @@ class PairRecord:
 @dataclass(frozen=True)
 class SearchCheckpoint:
     """Walk position: ``curr`` is the term at index ``n``, ``prev`` the
-    one before, and ``found`` the pairs emitted so far.  The digits
-    limit is carried in memory only; the file format stores just the
-    position and the found pairs."""
+    one before, and ``found`` the pairs emitted so far."""
 
     m: int
     n: int
     prev: int
     curr: int
     found: tuple[PairRecord, ...]
-    digits_limit: int | None = None
 
 
 def write_checkpoint(path: str, checkpoint: SearchCheckpoint) -> None:
@@ -259,7 +256,6 @@ def search_pairs(
     rounds: int = DEFAULT_ROUNDS,
     checkpoint_path: str | None = None,
     checkpoint_every: int = 25,
-    threads: int = 1,
     max_steps: int | None = None,
 ) -> list[PairRecord]:
     """Walk the chain from ``seed`` (or resume from ``checkpoint``),
@@ -270,8 +266,7 @@ def search_pairs(
     exceeds ``digits_limit`` decimal digits, or after ``max_steps``
     pairs when given (the checkpoint then allows resuming).  Checkpoints
     are written every ``checkpoint_every`` steps when ``checkpoint_path``
-    is set, and once more at the end.  ``threads`` is accepted for
-    compatibility and ignored: the walk runs on the calling thread.
+    is set, and at the end unless that step already wrote one.
     """
     if digits_limit < 1:
         raise ValueError(f"digits limit must be >= 1, got {digits_limit}")
@@ -279,6 +274,8 @@ def search_pairs(
         raise ValueError(f"checkpoint cadence must be >= 1, got {checkpoint_every}")
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"max steps must be >= 0, got {max_steps}")
 
     if checkpoint is not None:
         if checkpoint.m != m:
@@ -300,9 +297,16 @@ def search_pairs(
     steps = 0
     overflow = 10**digits_limit  # curr >= overflow means too many digits
     while True:
-        if curr >= overflow:
-            break
-        if max_steps is not None and steps >= max_steps:
+        # Save at the end and after every ``checkpoint_every`` steps; a
+        # walk that ends on a cadence step saves that state once.
+        done = curr >= overflow or (max_steps is not None and steps >= max_steps)
+        cadence = steps > 0 and steps % checkpoint_every == 0
+        if checkpoint_path is not None and (done or cadence):
+            write_checkpoint(
+                checkpoint_path,
+                SearchCheckpoint(m=m, n=n, prev=prev, curr=curr, found=tuple(found)),
+            )
+        if done:
             break
         curr_term = _Term(curr, primes)
         if (
@@ -335,23 +339,6 @@ def search_pairs(
         prev, curr, n = curr, nxt, n + 1
         prev_term = curr_term
         steps += 1
-        if checkpoint_path is not None and steps % checkpoint_every == 0:
-            write_checkpoint(
-                checkpoint_path,
-                SearchCheckpoint(
-                    m=m, n=n, prev=prev, curr=curr,
-                    found=tuple(found), digits_limit=digits_limit,
-                ),
-            )
-
-    if checkpoint_path is not None:
-        write_checkpoint(
-            checkpoint_path,
-            SearchCheckpoint(
-                m=m, n=n, prev=prev, curr=curr,
-                found=tuple(found), digits_limit=digits_limit,
-            ),
-        )
     return found
 
 

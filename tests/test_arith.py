@@ -16,6 +16,18 @@ from sigmapairs.arith import (
 )
 
 
+class TestSmallPrimes:
+    @pytest.mark.parametrize("bound", [0, 1, 2, 3, 1000, 10**5, 10**5 + 100])
+    def test_equals_plain_sieve(self, bound):
+        composite = set()
+        plain = []
+        for x in range(2, bound + 1):
+            if x not in composite:
+                plain.append(x)
+                composite.update(range(x * x, bound + 1, x))
+        assert small_primes(bound) == tuple(plain)
+
+
 class TestDecimalDigits:
     @pytest.mark.parametrize(
         "x, expected",

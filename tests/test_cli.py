@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -158,6 +161,17 @@ class TestLemmasCommand:
         code, _ = run_cli("lemmas", "--only", "nope")
         assert code == 64
 
+    def test_zero_bound_is_passed_on(self, run_cli):
+        code, out = run_cli("lemmas", "--only", "p1q1", "--bound", "0", "--json")
+        assert code == 0
+        doc = json_doc(out)
+        assert doc["params"]["bound"] == "0"
+        assert [r["bound"] for r in doc["results"]] == ["0"]
+
+    def test_zero_bound_too_small_for_gcd_is_precondition_error(self, run_cli):
+        code, _ = run_cli("lemmas", "--only", "gcd", "--bound", "0")
+        assert code == 2
+
     def test_all_lemmas_runs_and_reports(self, run_cli):
         code, out = run_cli("lemmas", "--bound", "50", "--json")
         results = json_doc(out)["results"]
@@ -220,6 +234,11 @@ class TestCertifyCommand:
         assert doc["results"]["certificate"]["derived"]["rhs"]["cn"] == "3/5"
         assert doc["results"]["certificate"]["derived"]["rhs"]["c2"] == "8/5"
 
+    @pytest.mark.parametrize("objective", ["1/0 1 1", "1 1", "1 1 1 0"])
+    def test_malformed_objective_is_precondition_error(self, run_cli, objective):
+        code, out = run_cli("certify", "--optimize", "--objective", objective)
+        assert (code, out) == (2, "")
+
     def test_infeasible_system_is_precondition_error(self, run_cli, tmp_path):
         path = tmp_path / "system.ineq"
         path.write_text("b-c: 0 1 -1 <= 0 0 0\n")
@@ -262,3 +281,26 @@ class TestUsageErrors:
     def test_non_integer_flag(self, run_cli):
         code, _ = run_cli("chain", "--m", "2", "--terms", "many")
         assert code == 64
+
+
+class TestModuleEntryPoint:
+    """``python -m sigmapairs`` runs the same CLI in a fresh interpreter."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "sigmapairs", *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+
+    def test_chain(self):
+        proc = self.run_module("chain", "--terms", "5")
+        assert (proc.returncode, proc.stdout) == (0, "1 1 3 13 61\n")
+
+    def test_missing_digits_is_usage_error(self):
+        proc = self.run_module("search")
+        assert proc.returncode == 64
+        assert "--digits" in proc.stderr

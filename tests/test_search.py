@@ -79,11 +79,8 @@ class TestSearchPairs:
             search_pairs(2, digits_limit=0)
         with pytest.raises(ValueError):
             search_pairs(2, digits_limit=5, checkpoint_every=0)
-
-    def test_threads_do_not_change_results(self):
-        single = search_pairs(2, digits_limit=20, threads=1)
-        pooled = search_pairs(2, digits_limit=20, threads=4)
-        assert single == pooled
+        with pytest.raises(ValueError):
+            search_pairs(2, digits_limit=5, max_steps=-1)
 
     def test_rejects_zero_rounds(self):
         with pytest.raises(ValueError):
@@ -181,6 +178,22 @@ class TestCheckpoints:
         write_checkpoint(path, state)
         loaded = load_checkpoint(path)
         assert (loaded.prev, loaded.curr, loaded.n) == (terms[-2], terms[-1], 12)
+
+    @pytest.mark.parametrize(
+        "max_steps, every, saved_at", [(6, 3, [5, 8]), (5, 3, [5, 7]), (0, 1, [2])]
+    )
+    def test_each_state_is_saved_once(
+        self, tmp_path, monkeypatch, max_steps, every, saved_at
+    ):
+        saved = []
+        monkeypatch.setattr(
+            search, "write_checkpoint", lambda _, state: saved.append(state.n)
+        )
+        search_pairs(
+            2, digits_limit=20, checkpoint_path=str(tmp_path / "walk.ck"),
+            checkpoint_every=every, max_steps=max_steps,
+        )
+        assert saved == saved_at
 
     def test_file_format(self, tmp_path):
         path = str(tmp_path / "walk.ck")
