@@ -40,7 +40,6 @@ from .chains import (
 from .oracles import ORACLES, OracleReport
 from .residues import (
     NonUnitResidue,
-    PeriodNotFound,
     PreconditionViolation,
     ResidueProfile,
     check_residue_pattern,

@@ -169,8 +169,6 @@ def is_prime(x: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
         if complete and p * p > x:
             return PrimalityVerdict(Primality.PRIME)
         if x % p == 0:
-            if x == p:
-                return PrimalityVerdict(Primality.PRIME)
             return PrimalityVerdict(Primality.COMPOSITE, witness=p)
 
     d, r = x - 1, 0

@@ -101,11 +101,11 @@ class Certificate:
     derived: Inequality
 
 
-class NegativeMultiplier(Exception):
+class NegativeMultiplier(ValueError):
     """Multipliers must be nonnegative to preserve inequality direction."""
 
 
-class Infeasible(Exception):
+class Infeasible(ValueError):
     """No nonnegative combination of the given inequalities covers the
     objective."""
 

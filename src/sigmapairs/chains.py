@@ -43,12 +43,12 @@ __all__ = [
 ]
 
 
-class NonIntegralStep(Exception):
+class NonIntegralStep(ValueError):
     """A chain step required a division that left a remainder, so the
     input was not a valid quasisolution state."""
 
 
-class BelowChainStart(Exception):
+class BelowChainStart(ValueError):
     """Descending further would need a term before index 1."""
 
 

@@ -88,6 +88,8 @@ def _cmd_search(args):
     seed = tuple(int(part) for part in args.seed.split(","))
     if len(seed) != 2:
         raise ValueError(f"seed must be 'p,q', got {args.seed!r}")
+    if args.threads < 1:
+        raise ValueError(f"threads must be >= 1, got {args.threads}")
     checkpoint = None
     if args.checkpoint and os.path.exists(args.checkpoint):
         checkpoint = search.load_checkpoint(args.checkpoint, rounds=args.mr_rounds)
@@ -126,8 +128,8 @@ def _cmd_seeds(args):
 
 
 def _cmd_residues(args):
-    profile = residues.residue_profile(args.mod, args.max_steps)
-    params = {"mod": str(args.mod), "max_steps": args.max_steps}
+    profile = residues.residue_profile(args.mod)
+    params = {"mod": str(args.mod)}
     results = {
         "modulus": str(profile.modulus),
         "period": profile.period,
@@ -183,6 +185,8 @@ def _cmd_lemmas(args):
 
 
 def _cmd_certify(args):
+    if args.ineqs and not args.optimize:
+        raise UsageError("--ineqs applies to --optimize only")
     if args.ineqs:
         with open(args.ineqs, encoding="ascii") as handle:
             system = certify_mod.parse_inequalities(handle.read())
@@ -244,14 +248,8 @@ def _cmd_certify(args):
 
 
 def _cmd_heuristic(args):
-    exact_sum, tail, offset = search.heuristic_tail_parts(
-        args.start, args.horizon, args.exact_terms
-    )
-    params = {
-        "from": args.start,
-        "horizon": args.horizon,
-        "exact_terms": args.exact_terms,
-    }
+    exact_sum, tail, offset = search.heuristic_tail_parts(args.start, args.horizon)
+    params = {"from": args.start, "horizon": args.horizon}
     results = {
         "value": exact_sum + tail,
         "exact_sum": exact_sum,
@@ -312,7 +310,6 @@ def _build_parser() -> _Parser:
 
     p = add("residues", "period and cycle of the chain mod w")
     p.add_argument("--mod", type=int, required=True)
-    p.add_argument("--max-steps", type=int, default=None)
     p.set_defaults(func=_cmd_residues)
 
     p = add("lemmas", "run brute-force lemma oracles")
@@ -335,7 +332,6 @@ def _build_parser() -> _Parser:
     p = add("heuristic", "convergent tail estimate for further pairs")
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--exact-terms", type=int, default=200)
     p.set_defaults(func=_cmd_heuristic)
 
     p = add("squares", "bounded square-divisor probe of sigma values")
@@ -363,18 +359,7 @@ def main(argv=None) -> int:
     except (search.CheckpointFormatError, search.CheckpointMismatch) as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT
-    except (
-        ValueError,
-        chains.NonIntegralStep,
-        chains.BelowChainStart,
-        residues.PreconditionViolation,
-        residues.NonUnitResidue,
-        residues.PeriodNotFound,
-        search.NotOnKnownChain,
-        certify_mod.Infeasible,
-        certify_mod.NegativeMultiplier,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # every precondition error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -22,7 +22,6 @@ from .chains import chain_terms
 
 __all__ = [
     "NonUnitResidue",
-    "PeriodNotFound",
     "PreconditionViolation",
     "ResiduePatternReport",
     "ResidueProfile",
@@ -31,15 +30,11 @@ __all__ = [
 ]
 
 
-class PreconditionViolation(Exception):
+class PreconditionViolation(ValueError):
     """The modulus has a prime divisor congruent to 1 (mod 3)."""
 
 
-class PeriodNotFound(Exception):
-    """The pair state did not return to (1, 1) within the step budget."""
-
-
-class NonUnitResidue(Exception):
+class NonUnitResidue(ValueError):
     """A chain residue is not invertible mod w, so the modular
     recurrence cannot continue."""
 
@@ -75,12 +70,11 @@ def _is_mirrored(cycle: tuple[int, ...]) -> bool:
     )
 
 
-def residue_profile(w: int, max_steps: int | None = None) -> ResidueProfile:
+def residue_profile(w: int) -> ResidueProfile:
     """Iterate the pair (t_n, t_{n+1}) mod w from (1, 1) until it recurs.
 
     Returns one full period of t_n mod w together with the palindrome
-    flag.  ``max_steps`` defaults to w**2 + 2, enough to cover the whole
-    pair-state space.
+    flag.
     """
     if w < 2:
         raise ValueError(f"modulus must be >= 2, got {w}")
@@ -89,12 +83,12 @@ def residue_profile(w: int, max_steps: int | None = None) -> ResidueProfile:
         raise PreconditionViolation(
             f"modulus {w} has prime divisors {bad} congruent to 1 (mod 3)"
         )
-    if max_steps is None:
-        max_steps = w * w + 2
 
     a, b = 1 % w, 1 % w
     cycle: list[int] = []
-    for _ in range(max_steps):
+    # Terminates: with 3 | w, t_3 = 3 is a non-unit; otherwise x^2+x+1 is a
+    # unit mod w, the step permutes unit pairs and (1, 1) recurs.
+    while True:
         cycle.append(a)
         if gcd(a, w) != 1:
             raise NonUnitResidue(
@@ -108,7 +102,6 @@ def residue_profile(w: int, max_steps: int | None = None) -> ResidueProfile:
                 cycle=tuple(cycle),
                 palindromic=_is_mirrored(tuple(cycle)),
             )
-    raise PeriodNotFound(f"no recurrence of (1, 1) mod {w} within {max_steps} steps")
 
 
 @dataclass(frozen=True)

@@ -80,7 +80,7 @@ class CheckpointMismatch(Exception):
     """Checkpoint parsed but violates the chain invariants."""
 
 
-class NotOnKnownChain(Exception):
+class NotOnKnownChain(ValueError):
     """Descent did not reach a minimal seed within the step budget."""
 
 
@@ -403,15 +403,14 @@ _LN4 = math.log(4)
 
 
 def heuristic_tail_parts(
-    start_index: int,
-    horizon: int | None = None,
-    exact_terms: int = _HEURISTIC_EXACT_TERMS,
+    start_index: int, horizon: int | None = None
 ) -> tuple[float, float, float]:
     """(exact_sum, tail_bound, growth_offset) behind :func:`heuristic_tail`.
 
-    The exact part sums 1 / (ln t_n * ln t_{n+1}) over computed terms;
-    beyond ``exact_terms`` the bound ln t_n >= (n - c) ln 4 turns the
-    remainder into the telescoping sum of 1 / ((n-c)(n+1-c) ln^2 4).
+    The exact part sums 1 / (ln t_n * ln t_{n+1}) over the first
+    ``_HEURISTIC_EXACT_TERMS`` terms; beyond them the bound
+    ln t_n >= (n - c) ln 4 turns the remainder into the telescoping sum
+    of 1 / ((n-c)(n+1-c) ln^2 4).
     The growth offset c = max_k (k - log_4 t_k) is calibrated on the
     computed terms and stays valid for all later indices because each
     step multiplies the term by more than 4.
@@ -420,7 +419,8 @@ def heuristic_tail_parts(
         raise ValueError(f"start index must be >= 3, got {start_index}")
     if horizon is not None and horizon < start_index:
         return 0.0, 0.0, 0.0
-    cap = exact_terms if horizon is None else min(horizon, exact_terms)
+    cap = (_HEURISTIC_EXACT_TERMS if horizon is None
+           else min(horizon, _HEURISTIC_EXACT_TERMS))
 
     terms = chain_terms(2, max(cap + 1, 5))
     logs = [math.log(t) if t > 1 else 0.0 for t in terms]
@@ -440,16 +440,12 @@ def heuristic_tail_parts(
     return exact_sum, tail, offset
 
 
-def heuristic_tail(
-    start_index: int,
-    horizon: int | None = None,
-    exact_terms: int = _HEURISTIC_EXACT_TERMS,
-) -> float:
+def heuristic_tail(start_index: int, horizon: int | None = None) -> float:
     """Upper estimate of the expected number of prime pairs at chain
     indices >= start_index: sum of 1 / (ln t_n * ln t_{n+1}) up to
     ``horizon`` (unbounded when None).  Always finite because the terms
     grow at least geometrically with ratio 4."""
-    exact_sum, tail, _ = heuristic_tail_parts(start_index, horizon, exact_terms)
+    exact_sum, tail, _ = heuristic_tail_parts(start_index, horizon)
     return exact_sum + tail
 
 

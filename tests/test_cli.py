@@ -1,11 +1,14 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from conftest import json_doc, results_only
+from sigmapairs import certify, chains, cli, residues, search
 
 
 class TestChainCommand:
@@ -110,6 +113,11 @@ class TestSearchCommand:
         code, _ = run_cli("search", "--m", "2", "--digits", "5", "--mr-rounds", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_nonpositive_threads_is_precondition_error(self, run_cli, threads):
+        code, out = run_cli("search", "--m", "2", "--digits", "5", "--threads", threads)
+        assert (code, out) == (2, "")
+
 
 class TestSeedsCommand:
     def test_m4_seed_list(self, run_cli):
@@ -136,8 +144,10 @@ class TestResiduesCommand:
         assert results["palindromic"] is True
 
     def test_mod_7_precondition(self, run_cli):
-        code, _ = run_cli("residues", "--mod", "7")
-        assert code == 2
+        # 7 has a prime divisor = 1 (mod 3); 9 meets the non-unit t_3 = 3
+        for w in ("7", "9"):
+            code, _ = run_cli("residues", "--mod", w)
+            assert code == 2, w
 
 
 class TestLemmasCommand:
@@ -239,6 +249,13 @@ class TestCertifyCommand:
         code, out = run_cli("certify", "--optimize", "--objective", objective)
         assert (code, out) == (2, "")
 
+    @pytest.mark.parametrize("mode", [[], ["--verify-paper"]])
+    def test_ineqs_without_optimize_is_usage_error(self, run_cli, tmp_path, mode):
+        # the file is never opened: a missing one would otherwise exit 2
+        missing = str(tmp_path / "missing.ineq")
+        code, out = run_cli("certify", *mode, "--ineqs", missing, "--json")
+        assert (code, out) == (64, "")
+
     def test_infeasible_system_is_precondition_error(self, run_cli, tmp_path):
         path = tmp_path / "system.ineq"
         path.write_text("b-c: 0 1 -1 <= 0 0 0\n")
@@ -281,6 +298,51 @@ class TestUsageErrors:
     def test_non_integer_flag(self, run_cli):
         code, _ = run_cli("chain", "--m", "2", "--terms", "many")
         assert code == 64
+
+    @pytest.mark.parametrize("argv", [
+        ["residues", "--mod", "11", "--max-steps", "5"],
+        ["heuristic", "--from", "30", "--exact-terms", "100"],
+    ])
+    def test_retired_flags(self, run_cli, argv):
+        assert run_cli(*argv) == (64, "")
+
+
+class TestExitStatusRule:
+    """``main`` maps exit 2 from ValueError alone, so every precondition
+    error must be one; checkpoint errors must not, as they exit 3."""
+
+    @pytest.mark.parametrize("error", [
+        chains.NonIntegralStep, chains.BelowChainStart,
+        residues.PreconditionViolation, residues.NonUnitResidue,
+        search.NotOnKnownChain, certify.Infeasible, certify.NegativeMultiplier,
+    ])
+    def test_precondition_errors_are_value_errors(self, error):
+        assert issubclass(error, ValueError)
+
+    @pytest.mark.parametrize(
+        "error", [search.CheckpointFormatError, search.CheckpointMismatch]
+    )
+    def test_checkpoint_errors_are_not_value_errors(self, error):
+        assert not issubclass(error, ValueError)
+
+
+def test_readme_command_table_lists_every_flag():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        rows = re.findall(r"^\| `([a-z]+)([^`]*)`", handle.read(), re.MULTILINE)
+    documented = {name: set(re.findall(r"--[a-z][a-z-]*", rest)) for name, rest in rows}
+    subparsers = next(
+        action for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    declared = {
+        name: {
+            flag for action in parser._actions for flag in action.option_strings
+            if flag.startswith("--")
+        } - {"--json", "--help"}
+        for name, parser in subparsers.choices.items()
+    }
+    assert documented == declared
 
 
 class TestModuleEntryPoint:

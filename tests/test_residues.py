@@ -1,9 +1,10 @@
+import math
+
 import pytest
 
 from sigmapairs.chains import chain_terms
 from sigmapairs.residues import (
     NonUnitResidue,
-    PeriodNotFound,
     PreconditionViolation,
     check_residue_pattern,
     residue_profile,
@@ -52,10 +53,6 @@ class TestResidueProfile:
         with pytest.raises(NonUnitResidue):
             residue_profile(w)
 
-    def test_period_not_found_with_tiny_budget(self):
-        with pytest.raises(PeriodNotFound):
-            residue_profile(11, max_steps=5)
-
     def test_rejects_modulus_below_two(self):
         with pytest.raises(ValueError):
             residue_profile(1)
@@ -81,6 +78,22 @@ class TestResidueProfile:
         terms = chain_terms(2, 3 * profile.period)
         for n, t in enumerate(terms, start=1):
             assert profile.cycle[(n - 1) % profile.period] == t % w
+
+    def test_every_admissible_modulus_ends_within_phi_squared(self):
+        # The reason residue_profile needs no step budget: without 3 | w
+        # the step permutes pairs of units, so (1, 1) recurs within
+        # phi(w)**2 steps; with 3 | w, t_3 = 3 is a non-unit.
+        for w in range(2, 601):
+            primes = [p for p in range(2, w + 1)
+                      if w % p == 0 and all(p % d for d in range(2, p))]
+            if any(p % 3 == 1 for p in primes):
+                continue
+            if w % 3 == 0:
+                with pytest.raises(NonUnitResidue):
+                    residue_profile(w)
+            else:
+                phi = sum(1 for k in range(1, w + 1) if math.gcd(k, w) == 1)
+                assert residue_profile(w).period <= phi**2, w
 
     def test_cycle_reproduces_on_second_period(self):
         profile = residue_profile(11)
