@@ -8,23 +8,28 @@ re-export of ``math.gcd`` and bounded square-part extraction.
 Primality policy
 ----------------
 * ``x < 10**10`` is settled by complete trial division (deterministic).
-* ``10**10 <= x < 2**64`` uses a fixed Miller-Rabin witness set known to
-  be deterministic for the whole 64-bit range.
-* Larger ``x`` is prefiltered by trial division with primes below 10**5,
-  then subjected to ``rounds`` strong-probable-prime rounds whose bases
-  are derived by hashing ``(x, round)``.  The error probability is at
-  most ``4**-rounds`` and results are bit-reproducible regardless of
-  thread scheduling, which keeps long searches resumable.
+* Larger ``x`` is first trial-divided by the primes below 10**5, by block
+  gcd: one ``gcd`` with the product of each block of 256 consecutive
+  primes, in ascending order.  The first block sharing a factor with
+  ``x`` is searched for its smallest prime dividing that gcd, so the
+  witness of a composite is still its smallest prime factor.
+* Survivors below ``2**64`` are settled by a fixed Miller-Rabin witness
+  set known to be deterministic for the whole 64-bit range.
+* Larger survivors are subjected to ``rounds`` strong-probable-prime
+  rounds whose bases are derived by hashing ``(x, round)``.  The error
+  probability is at most ``4**-rounds`` and results are bit-reproducible
+  regardless of thread scheduling, which keeps long searches resumable.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 __all__ = [
     "DEFAULT_ROUNDS",
@@ -68,6 +73,40 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 
 _SMALL_PRIMES = _sieve(TRIAL_DIVISION_BOUND)
+
+# Primes per block of the block-gcd trial division.
+_TRIAL_BLOCK_SIZE = 256
+
+
+class _BlockTrialDivisor:
+    """Trial division by a fixed ascending tuple of primes, one ``gcd``
+    per block of ``_TRIAL_BLOCK_SIZE`` consecutive primes instead of one
+    remainder per prime."""
+
+    __slots__ = ("_blocks",)
+
+    def __init__(self, primes: tuple[int, ...]):
+        self._blocks = tuple(
+            (prod(block), block)
+            for block in (
+                primes[i : i + _TRIAL_BLOCK_SIZE]
+                for i in range(0, len(primes), _TRIAL_BLOCK_SIZE)
+            )
+        )
+
+    def smallest_factor(self, x: int) -> int | None:
+        """The smallest of the primes dividing ``x``, or None."""
+        for product, block in self._blocks:
+            g = gcd(product, x)
+            if g > 1:
+                return next(p for p in block if g % p == 0)
+        return None
+
+
+@functools.cache
+def _small_prime_divisor() -> _BlockTrialDivisor:
+    # built on first use so that importing the package stays cheap
+    return _BlockTrialDivisor(_SMALL_PRIMES)
 
 
 def small_primes(bound: int = TRIAL_DIVISION_BOUND) -> tuple[int, ...]:
@@ -164,11 +203,15 @@ def is_prime(x: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
     if x < 2:
         return PrimalityVerdict(Primality.COMPOSITE)
 
-    complete = x < _TRIAL_ONLY_LIMIT
-    for p in _SMALL_PRIMES:
-        if complete and p * p > x:
-            return PrimalityVerdict(Primality.PRIME)
-        if x % p == 0:
+    if x < _TRIAL_ONLY_LIMIT:
+        for p in _SMALL_PRIMES:
+            if p * p > x:
+                return PrimalityVerdict(Primality.PRIME)
+            if x % p == 0:
+                return PrimalityVerdict(Primality.COMPOSITE, witness=p)
+    else:
+        p = _small_prime_divisor().smallest_factor(x)
+        if p is not None:
             return PrimalityVerdict(Primality.COMPOSITE, witness=p)
 
     d, r = x - 1, 0

@@ -19,7 +19,9 @@ only a pair that passes one stage reaches the next:
     y != 1 (mod p), so the order of y mod p is a divisor > 1 of both
     m + 1 and p - 1.  Only primes with p | m + 1 or gcd(p - 1, m + 1) > 1
     can divide a term: for m = 2 that is 3 and the primes = 1 (mod 3),
-    about half the list.  Terms below 2**64 skip this stage.
+    about half the list.  The division is done by block gcd, one ``gcd``
+    with the product of each block of 256 of these primes, as in
+    :func:`~sigmapairs.arith.is_prime`.  Terms below 2**64 skip this stage.
 (b) Pairing: a pair is a candidate only when both terms survive (a).
 (c) Screening: one Miller-Rabin round, ``is_prime(x, 1)``, on each term
     of a candidate.  Its base is round 0 of the full test, so a term the
@@ -43,6 +45,7 @@ from .arith import (
     DEFAULT_ROUNDS,
     DETERMINISTIC_LIMIT,
     PrimalityVerdict,
+    _BlockTrialDivisor,
     bounded_square_part,
     decimal_digits,
     is_prime,
@@ -221,6 +224,11 @@ def _trial_primes(m: int) -> tuple[int, ...]:
     )
 
 
+@functools.cache
+def _trial_divisor(m: int) -> _BlockTrialDivisor:
+    return _BlockTrialDivisor(_trial_primes(m))
+
+
 class _Term:
     """One chain term in the pipeline.  Stage (a) runs on construction;
     stages (c) and (d) run on demand and are cached, so a term is never
@@ -228,11 +236,13 @@ class _Term:
 
     __slots__ = ("value", "survives", "_screened", "_verdict")
 
-    def __init__(self, value: int, primes: tuple[int, ...]):
+    def __init__(self, value: int, divisor: _BlockTrialDivisor):
         self.value = value
         # Above 2**64 no term equals one of the primes, so any hit is a
         # proper factor; smaller terms go straight to the exact test.
-        self.survives = value < DETERMINISTIC_LIMIT or 0 not in map(value.__mod__, primes)
+        self.survives = (
+            value < DETERMINISTIC_LIMIT or divisor.smallest_factor(value) is None
+        )
         self._screened: bool | None = None
         self._verdict: PrimalityVerdict | None = None
 
@@ -292,8 +302,8 @@ def search_pairs(
         n, prev, curr = 2, a, b
         found = []
 
-    primes = _trial_primes(m)
-    prev_term = _Term(prev, primes)
+    divisor = _trial_divisor(m)
+    prev_term = _Term(prev, divisor)
     steps = 0
     overflow = 10**digits_limit  # curr >= overflow means too many digits
     while True:
@@ -308,7 +318,7 @@ def search_pairs(
             )
         if done:
             break
-        curr_term = _Term(curr, primes)
+        curr_term = _Term(curr, divisor)
         if (
             prev_term.survives
             and curr_term.survives
@@ -417,14 +427,14 @@ def heuristic_tail_parts(
     """
     if start_index < 3:
         raise ValueError(f"start index must be >= 3, got {start_index}")
-    if horizon is not None and horizon < start_index:
-        return 0.0, 0.0, 0.0
     cap = (_HEURISTIC_EXACT_TERMS if horizon is None
            else min(horizon, _HEURISTIC_EXACT_TERMS))
 
     terms = chain_terms(2, max(cap + 1, 5))
     logs = [math.log(t) if t > 1 else 0.0 for t in terms]
     offset = max(k - logs[k - 1] / _LN4 for k in range(4, len(terms) + 1))
+    if horizon is not None and horizon < start_index:
+        return 0.0, 0.0, offset
 
     exact_sum = 0.0
     for n in range(start_index, cap + 1):

@@ -1,12 +1,14 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from sigmapairs import arith
 from sigmapairs.arith import (
     DETERMINISTIC_LIMIT,
     Primality,
+    PrimalityVerdict,
     bounded_square_part,
     decimal_digits,
     gcd,
@@ -26,6 +28,95 @@ class TestSmallPrimes:
                 plain.append(x)
                 composite.update(range(x * x, bound + 1, x))
         assert small_primes(bound) == tuple(plain)
+
+
+_PRIMES = small_primes()
+# one congruence class of the primes, as the search's admissible lists are
+_PRIMES_1_MOD_3 = tuple(p for p in _PRIMES if p % 3 == 1)
+# the first and last primes of the list and the primes on both sides of
+# the first two block edges: the 256th and 257th, the 512th and 513th
+_EDGE_PRIMES = (2, 3) + _PRIMES[254:258] + _PRIMES[510:514] + _PRIMES[-2:]
+# cofactors without a prime factor below 10**5, on both sides of 2**64
+_ROUGH = (1, 100003, 2**31 - 1, 10**10 + 19, 2**61 - 1, 2**89 - 1, 2**127 - 1)
+
+_small_factors = st.lists(
+    st.one_of(st.sampled_from(_EDGE_PRIMES), st.sampled_from(_PRIMES)), max_size=3
+)
+_cofactors = st.one_of(
+    st.sampled_from(_ROUGH),
+    st.integers(1, 2**64),
+    st.integers(2**64, 2**400),
+)
+
+_DIVISORS = tuple(
+    (primes, arith._BlockTrialDivisor(primes)) for primes in (_PRIMES, _PRIMES_1_MOD_3)
+)
+
+
+def _first_divisor(x, primes):
+    return next((p for p in primes if x % p == 0), None)
+
+
+def _per_prime_is_prime(x, rounds):
+    """Reference for is_prime at x >= 10**10: trial division one prime at
+    a time, then the module's own Miller-Rabin rounds."""
+    for p in _PRIMES:
+        if x % p == 0:
+            return PrimalityVerdict(Primality.COMPOSITE, witness=p)
+    d, r = x - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    if x < DETERMINISTIC_LIMIT:
+        for i, base in enumerate(arith._DETERMINISTIC_WITNESSES):
+            if not arith._strong_probable_prime(x, base, d, r):
+                return PrimalityVerdict(Primality.COMPOSITE, rounds=i + 1, witness=base)
+        return PrimalityVerdict(Primality.PRIME, rounds=len(arith._DETERMINISTIC_WITNESSES))
+    for i in range(rounds):
+        base = arith._derived_base(x, i)
+        if not arith._strong_probable_prime(x, base, d, r):
+            return PrimalityVerdict(Primality.COMPOSITE, rounds=i + 1, witness=base)
+    return PrimalityVerdict(Primality.PROBABLE_PRIME, rounds=rounds)
+
+
+class TestBlockTrialDivisor:
+    @pytest.mark.parametrize("primes", [_PRIMES, _PRIMES_1_MOD_3, _PRIMES[:256],
+                                        _PRIMES[:257], (), (7,)])
+    def test_blocks_cover_the_primes_in_order(self, primes):
+        blocks = arith._BlockTrialDivisor(primes)._blocks
+        assert [p for _, block in blocks for p in block] == list(primes)
+        assert all(len(block) == 256 for _, block in blocks[:-1])
+        assert all(product == math.prod(block) for product, block in blocks)
+
+    @given(cofactor=_cofactors, factors=_small_factors)
+    @example(cofactor=2**89 - 1, factors=[99991])
+    @example(cofactor=2**89 - 1, factors=[1621, 1619])
+    @example(cofactor=2**61 - 1, factors=[1621])
+    @example(cofactor=1, factors=[99989, 99991])
+    @example(cofactor=2**127 - 1, factors=[])
+    @settings(max_examples=300)
+    def test_returns_the_smallest_prime_factor_in_the_list(self, cofactor, factors):
+        x = cofactor * math.prod(factors)
+        for primes, divisor in _DIVISORS:
+            assert divisor.smallest_factor(x) == _first_divisor(x, primes)
+
+
+class TestIsPrimeMatchesPerPrimeTrialDivision:
+    @given(cofactor=_cofactors, factors=_small_factors, rounds=st.integers(1, 4))
+    @example(cofactor=2**89 - 1, factors=[99991], rounds=2)
+    @example(cofactor=2**61 - 1, factors=[1621], rounds=1)
+    @example(cofactor=10**10 + 19, factors=[], rounds=1)
+    @example(cofactor=2**89 - 1, factors=[], rounds=3)
+    @settings(max_examples=300)
+    def test_same_verdict_from_10_to_10_upwards(self, cofactor, factors, rounds):
+        x = cofactor * math.prod(factors)
+        assume(x >= 10**10)
+        assert is_prime(x, rounds) == _per_prime_is_prime(x, rounds)
+
+    @given(x=st.integers(10**10, DETERMINISTIC_LIMIT - 1))
+    @settings(max_examples=200)
+    def test_same_verdict_in_the_deterministic_range(self, x):
+        assert is_prime(x) == _per_prime_is_prime(x, 1)
 
 
 class TestDecimalDigits:

@@ -273,6 +273,15 @@ class TestHeuristicCommand:
         )
         assert results["value"] > 0
 
+    def test_horizon_below_start_reports_the_same_growth_offset(self, run_cli):
+        _, out = run_cli("heuristic", "--from", "30", "--json")
+        offset = json_doc(out)["results"]["growth_offset"]
+        code, out = run_cli("heuristic", "--from", "30", "--horizon", "10", "--json")
+        assert code == 0
+        results = json_doc(out)["results"]
+        assert results["growth_offset"] == offset > 0
+        assert results["value"] == results["exact_sum"] == results["tail_bound"] == 0.0
+
 
 class TestSquaresCommand:
     def test_probe_rows(self, run_cli):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sigmapairs import search
 from sigmapairs.arith import (
     DEFAULT_ROUNDS,
+    DETERMINISTIC_LIMIT,
     Primality,
     decimal_digits,
     is_prime,
@@ -142,6 +143,43 @@ class TestCandidatePipeline:
         assert search_pairs(4, seed=seed, digits_limit=1000) == _reference_search(
             4, seed, 1000
         )
+
+    @pytest.mark.parametrize("m, seed, digits", [
+        (2, (1, 1), 1000), (4, (5, 11), 1000), (4, (61, 131), 1000),
+        (4, (101, 491), 1000), (3, (1, 1), 1000), (6, (1, 1), 1000),
+    ])
+    def test_survival_equals_the_per_prime_rule(self, m, seed, digits):
+        # stage (a) by block gcd against one remainder per admissible prime,
+        # on every term above 2**64 of the chain
+        primes = search._trial_primes(m)
+        divisor = search._trial_divisor(m)
+        overflow = 10**digits
+        state = start_state(m, seed)
+        checked = 0
+        while state.curr < overflow:
+            x = state.curr
+            if x >= DETERMINISTIC_LIMIT:
+                survives = search._Term(x, divisor).survives
+                assert survives == all(x % p for p in primes), (m, seed, state.n)
+                checked += 1
+            state = chain_next(state)
+        assert checked > 0
+
+    @given(
+        m=st.sampled_from([2, 3, 4, 6]),
+        picks=st.lists(st.integers(0, 10**6), max_size=3),
+        cofactor=st.integers(2**64, 2**200),
+    )
+    @settings(max_examples=200)
+    def test_survival_equals_the_per_prime_rule_off_the_chain(self, m, picks, cofactor):
+        # the chains for m > 2 pass 2**64 in a few steps, so the rule is
+        # also checked on values built from the admissible primes
+        primes = search._trial_primes(m)
+        x = cofactor
+        for pick in picks:
+            x *= primes[pick % len(primes)]
+        survives = search._Term(x, search._trial_divisor(m)).survives
+        assert survives == all(x % p for p in primes)
 
     def test_no_term_is_tested_twice(self, monkeypatch):
         calls = []
@@ -382,6 +420,13 @@ class TestHeuristicTail:
 
     def test_horizon_below_start_gives_zero(self):
         assert heuristic_tail(10, horizon=9) == 0.0
+
+    @pytest.mark.parametrize("start, horizon", [(30, 10), (10, 9), (50, 3)])
+    def test_horizon_below_start_keeps_the_growth_offset(self, start, horizon):
+        # the offset is a property of the chain, not of the summed range
+        _, _, offset = heuristic_tail_parts(start)
+        assert heuristic_tail_parts(start, horizon) == (0.0, 0.0, offset)
+        assert offset > 0
 
     def test_rejects_early_start(self):
         with pytest.raises(ValueError):
