@@ -167,9 +167,10 @@ def sigma_power(p: int, m: int) -> int:
         raise ValueError(f"base must be >= 1, got {p}")
     if m < 1:
         raise ValueError(f"exponent must be >= 1, got {m}")
-    if p == 1:
-        return m + 1
-    return (p ** (m + 1) - 1) // (p - 1)
+    total = 1
+    for _ in range(m):  # Horner's rule: no long division
+        total = total * p + 1
+    return total
 
 
 def _strong_probable_prime(x: int, base: int, d: int, r: int) -> bool:

@@ -88,8 +88,6 @@ def _cmd_search(args):
     seed = tuple(int(part) for part in args.seed.split(","))
     if len(seed) != 2:
         raise ValueError(f"seed must be 'p,q', got {args.seed!r}")
-    if args.threads < 1:
-        raise ValueError(f"threads must be >= 1, got {args.threads}")
     checkpoint = None
     if args.checkpoint and os.path.exists(args.checkpoint):
         checkpoint = search.load_checkpoint(args.checkpoint, rounds=args.mr_rounds)
@@ -110,7 +108,6 @@ def _cmd_search(args):
         "mr_rounds": args.mr_rounds,
         "checkpoint": args.checkpoint,
         "checkpoint_every": args.checkpoint_every,
-        "threads": args.threads,
         "max_steps": args.max_steps,
     }
     results = [_pair_json(r) for r in records]
@@ -155,11 +152,6 @@ def _oracle_report_json(report) -> dict:
 
 
 def _cmd_lemmas(args):
-    if args.only is not None and args.only not in oracles.ORACLES:
-        raise UsageError(
-            f"unknown lemma id {args.only!r}; choose from "
-            + ", ".join(sorted(oracles.ORACLES))
-        )
     selected = [args.only] if args.only else sorted(oracles.ORACLES)
     reports = []
     for lemma_id in selected:
@@ -185,27 +177,30 @@ def _cmd_lemmas(args):
 
 
 def _cmd_certify(args):
-    if args.ineqs and not args.optimize:
-        raise UsageError("--ineqs applies to --optimize only")
+    if not args.optimize and (args.ineqs or args.objective is not None):
+        raise UsageError("--ineqs and --objective apply to --optimize only")
     if args.ineqs:
         with open(args.ineqs, encoding="ascii") as handle:
             system = certify_mod.parse_inequalities(handle.read())
     else:
         system = certify_mod.known_inequalities()
+    objective_text = args.objective
+    if args.optimize and objective_text is None:
+        objective_text = "1 1 1"
     params = {
         "ineqs": args.ineqs,
         "mode": "optimize" if args.optimize else "verify-paper",
-        "objective": args.objective,
+        "objective": objective_text,
     }
 
     if args.optimize:
-        tokens = args.objective.split()
+        tokens = objective_text.split()
         if len(tokens) != 3:
-            raise ValueError(f"objective must be 'ca cb cc', got {args.objective!r}")
+            raise ValueError(f"objective must be 'ca cb cc', got {objective_text!r}")
         try:
             objective = certify_mod.form(*map(Fraction, tokens))
         except ZeroDivisionError as exc:
-            raise ValueError(f"objective {args.objective!r} divides by zero") from exc
+            raise ValueError(f"objective {objective_text!r} divides by zero") from exc
         cert = certify_mod.optimize(system, objective)
         results = {
             "certificate": {
@@ -298,7 +293,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint", default=None,
                    help="checkpoint file; resumed from when it exists")
     p.add_argument("--checkpoint-every", type=int, default=25)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--max-steps", type=int, default=None,
                    help="stop after this many chain steps (checkpoint saved)")
     p.set_defaults(func=_cmd_search)
@@ -313,20 +307,20 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_residues)
 
     p = add("lemmas", "run brute-force lemma oracles")
-    p.add_argument("--only", default=None, help="single lemma id")
+    p.add_argument("--only", default=None, choices=sorted(oracles.ORACLES),
+                   help="single lemma id")
     p.add_argument("--bound", type=int, default=None,
                    help="override each oracle's default bound")
     p.set_defaults(func=_cmd_lemmas)
 
     p = add("certify", "exact-rational inequality certificates")
     p.add_argument("--ineqs", default=None, help="inequality file")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--verify-paper", action="store_true",
-                      help="recheck the recorded multiplier recipes (default)")
-    mode.add_argument("--optimize", action="store_true",
-                      help="find the optimal multiplier vector")
-    p.add_argument("--objective", default="1 1 1",
-                   help="objective coefficients 'ca cb cc' for --optimize")
+    p.add_argument("--optimize", action="store_true",
+                   help="find the optimal multiplier vector instead of "
+                        "rechecking the recorded recipes")
+    p.add_argument("--objective", default=None,
+                   help="objective coefficients 'ca cb cc' for --optimize "
+                        "(default '1 1 1')")
     p.set_defaults(func=_cmd_certify)
 
     p = add("heuristic", "convergent tail estimate for further pairs")

@@ -58,7 +58,6 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "CheckpointFormatError",
     "CheckpointMismatch",
-    "NotOnKnownChain",
     "PairRecord",
     "SearchCheckpoint",
     "SquareProbeRow",
@@ -81,10 +80,6 @@ class CheckpointFormatError(Exception):
 
 class CheckpointMismatch(Exception):
     """Checkpoint parsed but violates the chain invariants."""
-
-
-class NotOnKnownChain(ValueError):
-    """Descent did not reach a minimal seed within the step budget."""
 
 
 @dataclass(frozen=True)
@@ -352,35 +347,31 @@ def search_pairs(
     return found
 
 
-def _descend_once(p: int, q: int, m: int) -> tuple[int, int] | None:
-    """One Vieta step towards the chain's minimum: (p, q) -> (x, p) with
-    x = sigma(p^m)/q, reordered; None when already minimal."""
-    x, remainder = divmod(sigma_power(p, m), q)
-    if remainder:
-        return None
-    np, nq = (x, p) if x <= p else (p, x)
-    if (nq, np) >= (q, p):
-        return None
-    return np, nq
+def _descend(p: int, q: int, m: int) -> tuple[tuple[int, int], int]:
+    """Descend the quasisolution (p, q) to its chain's minimal pair;
+    returns that pair and the number of steps taken.
+
+    A step replaces (a, b), a <= b, by the sorted pair of
+    (sigma(a^m)/b, a), which is again a quasisolution, and is taken only
+    when it lowers the larger term.  That term is a positive integer, so
+    the descent ends.
+    """
+    a, b = (p, q) if p <= q else (q, p)
+    steps = 0
+    while True:
+        x = sigma_power(a, m) // b
+        if max(x, a) >= b:
+            return (a, b), steps
+        a, b = min(x, a), max(x, a)
+        steps += 1
 
 
-def locate_pair_index(p: int, q: int, m: int = 2, max_steps: int = 100_000) -> int:
+def locate_pair_index(p: int, q: int, m: int = 2) -> int:
     """Chain index of ``p`` when (p, q) are consecutive chain terms,
     counted from the chain's minimal seed at indices (1, 2)."""
     if not is_quasisolution(p, q, m):
         raise ValueError(f"({p}, {q}) is not a quasisolution for m={m}")
-    a, b = (p, q) if p <= q else (q, p)
-    steps = 0
-    while True:
-        lower = _descend_once(a, b, m)
-        if lower is None:
-            return steps + 1
-        a, b = lower
-        steps += 1
-        if steps > max_steps:
-            raise NotOnKnownChain(
-                f"descent from ({p}, {q}) exceeded {max_steps} steps"
-            )
+    return _descend(p, q, m)[1] + 1
 
 
 def enumerate_seeds(m: int, bound: int) -> list[tuple[int, int]]:
@@ -398,13 +389,7 @@ def enumerate_seeds(m: int, bound: int) -> list[tuple[int, int]]:
         sq = sigma_power(q, m)
         for p in range(1, q + 1):
             if sq % p == 0 and sigma_power(p, m) % q == 0:
-                a, b = p, q
-                while True:
-                    lower = _descend_once(a, b, m)
-                    if lower is None:
-                        break
-                    a, b = lower
-                minimal.add((a, b))
+                minimal.add(_descend(p, q, m)[0])
     return sorted(minimal)
 
 

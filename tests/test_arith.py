@@ -158,6 +158,10 @@ class TestSigmaPower:
     def test_matches_direct_summation(self, p, m):
         assert sigma_power(p, m) == sum(p**i for i in range(m + 1))
 
+    @given(p=st.integers(2, 10**2000), m=st.integers(1, 8))
+    def test_matches_closed_form(self, p, m):
+        assert sigma_power(p, m) == (p ** (m + 1) - 1) // (p - 1)
+
     @pytest.mark.parametrize("p, m", [(0, 2), (-3, 2), (3, 0), (3, -1)])
     def test_rejects_bad_arguments(self, p, m):
         with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from sigmapairs.chains import NonIntegralStep, chain_next, chain_terms, start_st
 from sigmapairs.search import (
     CheckpointFormatError,
     CheckpointMismatch,
-    NotOnKnownChain,
     PairRecord,
     SearchCheckpoint,
     enumerate_seeds,
@@ -358,9 +357,9 @@ class TestLocatePairIndex:
         with pytest.raises(ValueError):
             locate_pair_index(5, 31, 2)
 
-    def test_step_budget(self):
-        with pytest.raises(NotOnKnownChain):
-            locate_pair_index(3, 13, 2, max_steps=1)
+    def test_deep_pair_needs_no_budget(self):
+        terms = chain_terms(2, 1001)
+        assert locate_pair_index(terms[999], terms[1000], 2) == 1000
 
     def test_agrees_with_generated_chain(self):
         terms = chain_terms(2, 30)
