@@ -7,14 +7,15 @@ re-export of ``math.gcd`` and bounded square-part extraction.
 
 Primality policy
 ----------------
-* ``x < 10**10`` is settled by complete trial division (deterministic).
-* Larger ``x`` is first trial-divided by the primes below 10**5, by block
+* Every ``x >= 2`` is trial-divided by the primes below 10**5, by block
   gcd: one ``gcd`` with the product of each block of 256 consecutive
   primes, in ascending order.  The first block sharing a factor with
   ``x`` is searched for its smallest prime dividing that gcd, so the
-  witness of a composite is still its smallest prime factor.
-* Survivors below ``2**64`` are settled by a fixed Miller-Rabin witness
-  set known to be deterministic for the whole 64-bit range.
+  witness of a composite is its smallest prime factor.  A factor equal
+  to ``x`` means ``x`` is one of those primes.  A survivor below
+  99991**2, the square of the largest of them, is prime.
+* Other survivors below ``2**64`` are settled by a fixed Miller-Rabin
+  witness set known to be deterministic for the whole 64-bit range.
 * Larger survivors are subjected to ``rounds`` strong-probable-prime
   rounds whose bases are derived by hashing ``(x, round)``.  The error
   probability is at most ``4**-rounds`` and results are bit-reproducible
@@ -54,10 +55,6 @@ if hasattr(sys, "set_int_max_str_digits"):
 TRIAL_DIVISION_BOUND = 10**5
 DETERMINISTIC_LIMIT = 2**64
 DEFAULT_ROUNDS = 40
-
-# Complete trial division is cheaper than Miller-Rabin below this cutoff
-# and is exact because TRIAL_DIVISION_BOUND**2 == 10**10.
-_TRIAL_ONLY_LIMIT = TRIAL_DIVISION_BOUND**2
 
 # Strong-probable-prime witnesses covering every x < 2**64.
 _DETERMINISTIC_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
@@ -204,16 +201,11 @@ def is_prime(x: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
     if x < 2:
         return PrimalityVerdict(Primality.COMPOSITE)
 
-    if x < _TRIAL_ONLY_LIMIT:
-        for p in _SMALL_PRIMES:
-            if p * p > x:
-                return PrimalityVerdict(Primality.PRIME)
-            if x % p == 0:
-                return PrimalityVerdict(Primality.COMPOSITE, witness=p)
-    else:
-        p = _small_prime_divisor().smallest_factor(x)
-        if p is not None:
-            return PrimalityVerdict(Primality.COMPOSITE, witness=p)
+    p = _small_prime_divisor().smallest_factor(x)
+    if p == x or (p is None and x < _SMALL_PRIMES[-1] ** 2):
+        return PrimalityVerdict(Primality.PRIME)
+    if p is not None:
+        return PrimalityVerdict(Primality.COMPOSITE, witness=p)
 
     d, r = x - 1, 0
     while d % 2 == 0:

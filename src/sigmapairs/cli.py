@@ -177,9 +177,9 @@ def _cmd_lemmas(args):
 
 
 def _cmd_certify(args):
-    if not args.optimize and (args.ineqs or args.objective is not None):
+    if not args.optimize and (args.ineqs is not None or args.objective is not None):
         raise UsageError("--ineqs and --objective apply to --optimize only")
-    if args.ineqs:
+    if args.ineqs is not None:
         with open(args.ineqs, encoding="ascii") as handle:
             system = certify_mod.parse_inequalities(handle.read())
     else:

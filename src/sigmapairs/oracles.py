@@ -20,7 +20,6 @@ witnesses are exactly the indices n = 8 (mod 14).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Iterable
@@ -50,11 +49,10 @@ class OracleReport:
     witnesses: tuple
     expected: tuple
     agrees: bool
-    elapsed: float
 
 
 def _report(lemma_id: str, bound: int, witnesses: Iterable, expected: Iterable,
-            started: float, extra_ok: bool = True) -> OracleReport:
+            extra_ok: bool = True) -> OracleReport:
     wit = tuple(sorted(set(witnesses)))
     exp = tuple(sorted(set(expected)))
     return OracleReport(
@@ -63,7 +61,6 @@ def _report(lemma_id: str, bound: int, witnesses: Iterable, expected: Iterable,
         witnesses=wit,
         expected=exp,
         agrees=(wit == exp) and extra_ok,
-        elapsed=time.perf_counter() - started,
     )
 
 
@@ -81,7 +78,6 @@ def _primes_up_to(bound: int) -> list[int]:
 def oracle_p_div_q1(bound: int) -> OracleReport:
     """Odd positive p, q <= bound with q | p^2+p+1 and p | q+1; the
     complete solution set is {(1,1), (1,3)}."""
-    started = time.perf_counter()
     witnesses = []
     for p in range(1, bound + 1, 2):
         value = p * p + p + 1
@@ -93,13 +89,12 @@ def oracle_p_div_q1(bound: int) -> OracleReport:
             if q >= 1 and value % q == 0:
                 witnesses.append((p, q))
     expected = [(p, q) for p, q in ((1, 1), (1, 3)) if p <= bound and q <= bound]
-    return _report("p_div_q1", bound, witnesses, expected, started)
+    return _report("p_div_q1", bound, witnesses, expected)
 
 
 def oracle_no_square_pair(bound: int) -> OracleReport:
     """Primes p, q <= bound with p^2 | q^2+q+1 and q | p^2+p+1; no
     solutions exist."""
-    started = time.perf_counter()
     primes = _primes_up_to(bound)
     witnesses = []
     for q in primes:
@@ -109,7 +104,7 @@ def oracle_no_square_pair(bound: int) -> OracleReport:
                 break
             if value % (p * p) == 0 and (p * p + p + 1) % q == 0:
                 witnesses.append((p, q))
-    return _report("no_square_pair", bound, witnesses, [], started)
+    return _report("no_square_pair", bound, witnesses, [])
 
 
 def _prime_factorization(n: int) -> dict[int, int]:
@@ -128,7 +123,6 @@ def _prime_factorization(n: int) -> dict[int, int]:
 def oracle_pqr(bound: int) -> OracleReport:
     """Primes p, q <= bound and any prime r with pr | q^2+q+1,
     q | p^2+p+1, p | r+1 and r = 1 (mod 4); no solutions exist."""
-    started = time.perf_counter()
     primes = _primes_up_to(bound)
     witnesses = []
     for p in primes:
@@ -142,7 +136,7 @@ def oracle_pqr(bound: int) -> OracleReport:
             for r in _prime_factorization(m):
                 if r % 4 == 1 and (r + 1) % p == 0 and m % (p * r) == 0:
                     witnesses.append((p, q, r))
-    return _report("pqr", bound, witnesses, [], started)
+    return _report("pqr", bound, witnesses, [])
 
 
 def _sigma22_prime_pairs(bound: int) -> set[tuple[int, int]]:
@@ -161,7 +155,6 @@ def _sigma22_prime_pairs(bound: int) -> set[tuple[int, int]]:
 def oracle_linked(bound: int) -> OracleReport:
     """Triples of distinct odd primes where (p, q) and (q, r) are both
     sigma_{2,2} pairs; only {3, 13, 61} qualifies."""
-    started = time.perf_counter()
     pairs = _sigma22_prime_pairs(bound)
     witnesses = []
     for p, q in pairs:
@@ -172,7 +165,7 @@ def oracle_linked(bound: int) -> OracleReport:
                 if len(triple) == 3:
                     witnesses.append(triple)
     expected = [(3, 13, 61)] if bound >= 61 else []
-    return _report("linked", bound, witnesses, expected, started)
+    return _report("linked", bound, witnesses, expected)
 
 
 def _chain(count: int) -> list[int]:
@@ -194,7 +187,6 @@ def oracle_gcd(chain_terms: int) -> OracleReport:
     witnesses are exactly the indices n = 8 (mod 14)."""
     if chain_terms < 4:
         raise ValueError(f"need at least 4 chain terms, got {chain_terms}")
-    started = time.perf_counter()
     terms = _chain(chain_terms)
     witnesses = []
     for n in range(2, chain_terms):
@@ -206,13 +198,12 @@ def oracle_gcd(chain_terms: int) -> OracleReport:
             witnesses.append((n, g))
         if (p, q) == (13, 61) and g != 3:
             witnesses.append((n, g))
-    return _report("gcd", chain_terms, witnesses, [], started)
+    return _report("gcd", chain_terms, witnesses, [])
 
 
 def oracle_sigma41(bound: int) -> OracleReport:
     """Odd primes p, q <= bound with p | q+1 and q | sigma(p^4) never
     have p^2 | q+1; witnesses are violations."""
-    started = time.perf_counter()
     primes = _primes_up_to(bound)
     prime_set = set(primes)
     witnesses = []
@@ -227,13 +218,12 @@ def oracle_sigma41(bound: int) -> OracleReport:
                 break
             if q in prime_set and sigma4 % q == 0 and (q + 1) % (p * p) == 0:
                 witnesses.append((p, q))
-    return _report("sigma41", bound, witnesses, [], started)
+    return _report("sigma41", bound, witnesses, [])
 
 
 def oracle_p1q1(bound: int) -> OracleReport:
     """Positive p, q <= bound with p | q+1 and q | p+1; exactly
     {(1,1), (1,2), (2,1), (2,3), (3,2)}."""
-    started = time.perf_counter()
     witnesses = []
     for p in range(1, bound + 1):
         for k in range(1, (bound + 1) // p + 2):
@@ -247,13 +237,12 @@ def oracle_p1q1(bound: int) -> OracleReport:
         for p, q in ((1, 1), (1, 2), (2, 1), (2, 3), (3, 2))
         if p <= bound and q <= bound
     ]
-    return _report("p1q1", bound, witnesses, expected, started)
+    return _report("p1q1", bound, witnesses, expected)
 
 
 def oracle_s_classification(bound: int) -> OracleReport:
     """Pairs x <= y <= bound with x | y^2+1 and y | x^2+1 are exactly
     the consecutive pairs of the s sequence (odd-index Fibonaccis)."""
-    started = time.perf_counter()
     witnesses = []
     for x in range(1, bound + 1):
         value = x * x + 1
@@ -271,7 +260,7 @@ def oracle_s_classification(bound: int) -> OracleReport:
         for i in range(len(s_terms) - 1)
         if s_terms[i + 1] <= bound
     ]
-    return _report("s_classification", bound, witnesses, expected, started)
+    return _report("s_classification", bound, witnesses, expected)
 
 
 _U_SOLUTIONS = ((1, 1), (1, 2), (2, 1), (2, 5), (3, 2), (3, 5))
@@ -281,7 +270,6 @@ def oracle_u_classification(bound: int) -> OracleReport:
     """Pairs (a, b) <= bound with b | a^2+1 and a | b+1 all come from
     adjacent terms of the periodic u cycle 1,1,2,3,5,2 (read in either
     direction)."""
-    started = time.perf_counter()
     witnesses = []
     for a in range(1, bound + 1):
         value = a * a + 1
@@ -300,7 +288,7 @@ def oracle_u_classification(bound: int) -> OracleReport:
         adjacent.add(pair)
         adjacent.add(pair[::-1])
     all_adjacent = all(pair in adjacent for pair in witnesses)
-    return _report("u_classification", bound, witnesses, expected, started,
+    return _report("u_classification", bound, witnesses, expected,
                    extra_ok=all_adjacent)
 
 
@@ -309,7 +297,6 @@ def oracle_sigma33_breakdown(bound: int) -> OracleReport:
     four cases given by sigma(x^3) = (x+1)(x^2+1): a sigma_{1,1} pair,
     mutual x^2+1 divisibility, or the two mixed orientations.
     Witnesses are pairs escaping all four cases."""
-    started = time.perf_counter()
     primes = _primes_up_to(bound)
     witnesses = []
     for p in primes:
@@ -325,7 +312,7 @@ def oracle_sigma33_breakdown(bound: int) -> OracleReport:
             case4 = (q * q + 1) % p == 0 and (p + 1) % q == 0
             if not (case1 or case2 or case3 or case4):
                 witnesses.append((p, q))
-    return _report("sigma33", bound, witnesses, [], started)
+    return _report("sigma33", bound, witnesses, [])
 
 
 ORACLES = {

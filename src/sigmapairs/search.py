@@ -21,7 +21,7 @@ only a pair that passes one stage reaches the next:
     can divide a term: for m = 2 that is 3 and the primes = 1 (mod 3),
     about half the list.  The division is done by block gcd, one ``gcd``
     with the product of each block of 256 of these primes, as in
-    :func:`~sigmapairs.arith.is_prime`.  Terms below 2**64 skip this stage.
+    :func:`~sigmapairs.arith.is_prime`.
 (b) Pairing: a pair is a candidate only when both terms survive (a).
 (c) Screening: one Miller-Rabin round, ``is_prime(x, 1)``, on each term
     of a candidate.  Its base is round 0 of the full test, so a term the
@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 from .arith import (
     DEFAULT_ROUNDS,
-    DETERMINISTIC_LIMIT,
     PrimalityVerdict,
     _BlockTrialDivisor,
     bounded_square_part,
@@ -233,11 +232,8 @@ class _Term:
 
     def __init__(self, value: int, divisor: _BlockTrialDivisor):
         self.value = value
-        # Above 2**64 no term equals one of the primes, so any hit is a
-        # proper factor; smaller terms go straight to the exact test.
-        self.survives = (
-            value < DETERMINISTIC_LIMIT or divisor.smallest_factor(value) is None
-        )
+        p = divisor.smallest_factor(value)
+        self.survives = p is None or p == value
         self._screened: bool | None = None
         self._verdict: PrimalityVerdict | None = None
 
@@ -273,6 +269,9 @@ def search_pairs(
     are written every ``checkpoint_every`` steps when ``checkpoint_path``
     is set, and at the end unless that step already wrote one.
     """
+    if m < 2:
+        # every m = 1 chain has period 5, so no digits limit is reached
+        raise ValueError(f"search needs m >= 2, got {m}")
     if digits_limit < 1:
         raise ValueError(f"digits limit must be >= 1, got {digits_limit}")
     if checkpoint_every < 1:
@@ -281,6 +280,8 @@ def search_pairs(
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max steps must be >= 0, got {max_steps}")
+    if checkpoint_path == "":
+        raise ValueError("checkpoint path must not be empty")
 
     if checkpoint is not None:
         if checkpoint.m != m:
@@ -334,14 +335,9 @@ def search_pairs(
                         digits_q=decimal_digits(curr),
                     )
                 )
-        # advance to the state holding (t_n, t_{n+1})
-        numerator = sigma_power(curr, m)
-        nxt, remainder = divmod(numerator, prev)
-        if remainder:
-            raise NonIntegralStep(
-                f"{prev} does not divide sigma({curr}^{m}) at index {n - 1}"
-            )
-        prev, curr, n = curr, nxt, n + 1
+        # advance to the state holding (t_n, t_{n+1}); a step from a
+        # quasisolution is integral and gives a quasisolution again
+        prev, curr, n = curr, sigma_power(curr, m) // prev, n + 1
         prev_term = curr_term
         steps += 1
     return found

@@ -58,9 +58,12 @@ def _first_divisor(x, primes):
 
 
 def _per_prime_is_prime(x, rounds):
-    """Reference for is_prime at x >= 10**10: trial division one prime at
-    a time, then the module's own Miller-Rabin rounds."""
+    """Reference for is_prime at x >= 2: trial division one prime at a
+    time, prime once p * p > x, then the module's own Miller-Rabin
+    rounds."""
     for p in _PRIMES:
+        if p * p > x:
+            return PrimalityVerdict(Primality.PRIME)
         if x % p == 0:
             return PrimalityVerdict(Primality.COMPOSITE, witness=p)
     d, r = x - 1, 0
@@ -117,6 +120,24 @@ class TestIsPrimeMatchesPerPrimeTrialDivision:
     @settings(max_examples=200)
     def test_same_verdict_in_the_deterministic_range(self, x):
         assert is_prime(x) == _per_prime_is_prime(x, 1)
+
+    @given(
+        x=st.one_of(
+            st.integers(2, 2 * 10**5),
+            st.integers(2, 2 * 10**10),
+            st.integers(99991**2 - 10**4, 99991**2 + 10**4),
+        ),
+        rounds=st.sampled_from([1, 40]),
+    )
+    @example(x=2, rounds=1)
+    @example(x=99989 * 99991, rounds=1)
+    @example(x=99991**2 - 20, rounds=40)  # 9998200061, the last prime below
+    @example(x=99991**2, rounds=40)
+    @example(x=99991**2 + 6, rounds=1)  # 9998200087, the first prime above
+    @example(x=10**10 - 33, rounds=40)
+    @settings(max_examples=300)
+    def test_same_verdict_from_2_upwards(self, x, rounds):
+        assert is_prime(x, rounds) == _per_prime_is_prime(x, rounds)
 
 
 class TestDecimalDigits:
@@ -196,6 +217,23 @@ class TestIsPrime:
         assert verdict.status is Primality.COMPOSITE
         assert verdict.rounds >= 1
         assert verdict.witness is not None
+
+    @pytest.mark.parametrize(
+        "x, status, rounds, witness",
+        [
+            (2, Primality.PRIME, 0, None),
+            (3, Primality.PRIME, 0, None),
+            (99991, Primality.PRIME, 0, None),
+            # trial division settles every x below 99991**2 = 9998200081
+            (9998200061, Primality.PRIME, 0, None),
+            (9998200081, Primality.COMPOSITE, 0, 99991),
+            # primes from 99991**2 up go on to Miller-Rabin
+            (9998200087, Primality.PRIME, 7, None),
+            (9999999967, Primality.PRIME, 7, None),
+        ],
+    )
+    def test_trial_division_boundary_verdicts(self, x, status, rounds, witness):
+        assert is_prime(x) == PrimalityVerdict(status, rounds=rounds, witness=witness)
 
     def test_zero_and_one_are_not_prime(self):
         assert is_prime(0).status is Primality.COMPOSITE

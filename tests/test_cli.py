@@ -109,6 +109,23 @@ class TestSearchCommand:
         code, _ = run_cli("search", "--m", "2", "--digits", "5", "--mr-rounds", "0")
         assert code == 2
 
+    def test_m1_is_precondition_error(self, run_cli):
+        # the m = 1 chain has period 5 and never reaches the digits limit;
+        # the step cap only keeps a regression from walking forever
+        code, out = run_cli(
+            "search", "--m", "1", "--digits", "5", "--max-steps", "100"
+        )
+        assert (code, out) == (2, "")
+        assert run_cli("chain", "--m", "1", "--terms", "7") == (0, "1 1 2 3 2 1 1\n")
+
+    def test_empty_checkpoint_path_is_precondition_error(
+        self, run_cli, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, out = run_cli("search", "--m", "2", "--digits", "20", "--checkpoint", "")
+        assert (code, out) == (2, "")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSeedsCommand:
     def test_m4_seed_list(self, run_cli):
@@ -245,6 +262,14 @@ class TestCertifyCommand:
         missing = str(tmp_path / "missing.ineq")
         code, out = run_cli("certify", "--ineqs", missing, "--json")
         assert (code, out) == (64, "")
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [(("certify", "--ineqs", ""), 64), (("certify", "--optimize", "--ineqs", ""), 2)],
+        ids=["verify", "optimize"],
+    )
+    def test_empty_ineqs_is_not_ignored(self, run_cli, argv, expected):
+        assert run_cli(*argv) == (expected, "")
 
     @pytest.mark.parametrize("objective", ["1 1 1", "garbage", "1/0 1 1"])
     def test_objective_without_optimize_is_usage_error(self, run_cli, objective):

@@ -193,6 +193,5 @@ class TestOracleTable:
 
     def test_reports_carry_timing_and_bound(self):
         report = oracle_p1q1(10)
-        assert report.elapsed >= 0.0
         assert report.bound == 10
         assert report.lemma_id == "p1q1"

@@ -8,14 +8,19 @@ from hypothesis import strategies as st
 from sigmapairs import search
 from sigmapairs.arith import (
     DEFAULT_ROUNDS,
-    DETERMINISTIC_LIMIT,
     Primality,
     decimal_digits,
     is_prime,
     sigma_power,
     small_primes,
 )
-from sigmapairs.chains import NonIntegralStep, chain_next, chain_terms, start_state
+from sigmapairs.chains import (
+    NonIntegralStep,
+    chain_next,
+    chain_terms,
+    is_quasisolution,
+    start_state,
+)
 from sigmapairs.search import (
     CheckpointFormatError,
     CheckpointMismatch,
@@ -86,6 +91,24 @@ class TestSearchPairs:
         with pytest.raises(ValueError):
             search_pairs(2, digits_limit=5, rounds=0)
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_step_from_every_small_quasisolution_is_integral(self, m):
+        # the walk divides without a remainder check: from a quasisolution
+        # (p, q), sigma(q^m) / p is an integer that pairs with q again
+        bound = 600
+        sigmas = [0] + [sigma_power(x, m) for x in range(1, bound + 1)]
+        pairs = [
+            (p, q)
+            for q in range(1, bound + 1)
+            for p in range(1, bound + 1)
+            if sigmas[q] % p == 0 and sigmas[p] % q == 0
+        ]
+        assert len(pairs) > 2
+        for p, q in pairs:
+            nxt, remainder = divmod(sigmas[q], p)
+            assert remainder == 0, (m, p, q)
+            assert is_quasisolution(q, nxt, m), (m, p, q)
+
 
 def _reference_search(m, seed, digits_limit, rounds=DEFAULT_ROUNDS):
     """Full primality test on both terms of every consecutive pair."""
@@ -149,20 +172,17 @@ class TestCandidatePipeline:
     ])
     def test_survival_equals_the_per_prime_rule(self, m, seed, digits):
         # stage (a) by block gcd against one remainder per admissible prime,
-        # on every term above 2**64 of the chain
+        # on every term of the chain: a term survives when no admissible
+        # prime below it divides it
         primes = search._trial_primes(m)
         divisor = search._trial_divisor(m)
         overflow = 10**digits
         state = start_state(m, seed)
-        checked = 0
         while state.curr < overflow:
             x = state.curr
-            if x >= DETERMINISTIC_LIMIT:
-                survives = search._Term(x, divisor).survives
-                assert survives == all(x % p for p in primes), (m, seed, state.n)
-                checked += 1
+            survives = search._Term(x, divisor).survives
+            assert survives == all(x % p for p in primes if p < x), (m, seed, state.n)
             state = chain_next(state)
-        assert checked > 0
 
     @given(
         m=st.sampled_from([2, 3, 4, 6]),
