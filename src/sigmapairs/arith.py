@@ -137,22 +137,11 @@ class PrimalityVerdict:
         return self.status is not Primality.COMPOSITE
 
 
-_LOG10_2 = 0.30102999566398114
-
-
 def decimal_digits(x: int) -> int:
-    """Number of decimal digits of a nonnegative integer, without
-    building the decimal string (linear instead of quadratic in size)."""
+    """Number of decimal digits of a nonnegative integer."""
     if x < 0:
         raise ValueError(f"expected a nonnegative integer, got a negative one")
-    if x == 0:
-        return 1
-    digits = max(1, int((x.bit_length() - 1) * _LOG10_2) + 1)
-    while 10**digits <= x:
-        digits += 1
-    while digits > 1 and 10 ** (digits - 1) > x:
-        digits -= 1
-    return digits
+    return len(str(x))
 
 
 def sigma_power(p: int, m: int) -> int:

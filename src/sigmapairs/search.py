@@ -9,7 +9,7 @@ consecutive terms for primality and emitting a record whenever both are
 written atomically so that interrupting and resuming reproduces the
 uninterrupted output byte for byte.
 
-Each pair (t_n, t_{n+1}) goes through four stages, cheapest first, and
+Each pair (t_n, t_{n+1}) goes through three stages, cheapest first, and
 only a pair that passes one stage reaches the next:
 
 (a) Trial division of every term by the primes below 10**5 that can
@@ -23,12 +23,9 @@ only a pair that passes one stage reaches the next:
     with the product of each block of 256 of these primes, as in
     :func:`~sigmapairs.arith.is_prime`.
 (b) Pairing: a pair is a candidate only when both terms survive (a).
-(c) Screening: one Miller-Rabin round, ``is_prime(x, 1)``, on each term
-    of a candidate.  Its base is round 0 of the full test, so a term the
-    screen rejects is rejected by the full test too.
-(d) Confirmation: the full ``is_prime(x, rounds)`` on both terms, once
-    both passed (c).  The verdicts in a :class:`PairRecord` come from
-    this call.
+(c) Confirmation: the full ``is_prime(x, rounds)``, first on t_n and
+    then, if t_n is a probable prime, on t_{n+1}.  The verdicts in a
+    :class:`PairRecord` come from this call.
 
 Every stage rejects only composites, so the records equal those of a
 full test on every pair.  Each stage runs at most once per term.
@@ -132,7 +129,7 @@ def load_checkpoint(path: str, rounds: int = DEFAULT_ROUNDS) -> SearchCheckpoint
     try:
         with open(path, encoding="ascii") as handle:
             lines = handle.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CheckpointFormatError(f"cannot read checkpoint: {exc}") from exc
     if not lines or lines[0] != CHECKPOINT_VERSION:
         raise CheckpointFormatError(
@@ -225,22 +222,16 @@ def _trial_divisor(m: int) -> _BlockTrialDivisor:
 
 class _Term:
     """One chain term in the pipeline.  Stage (a) runs on construction;
-    stages (c) and (d) run on demand and are cached, so a term is never
-    retested when it moves from ``curr`` to ``prev``."""
+    stage (c) runs on demand and is cached, so a term is never retested
+    when it moves from ``curr`` to ``prev``."""
 
-    __slots__ = ("value", "survives", "_screened", "_verdict")
+    __slots__ = ("value", "survives", "_verdict")
 
     def __init__(self, value: int, divisor: _BlockTrialDivisor):
         self.value = value
         p = divisor.smallest_factor(value)
         self.survives = p is None or p == value
-        self._screened: bool | None = None
         self._verdict: PrimalityVerdict | None = None
-
-    def screened(self) -> bool:
-        if self._screened is None:
-            self._screened = is_prime(self.value, 1).is_probable_prime
-        return self._screened
 
     def verdict(self, rounds: int) -> PrimalityVerdict:
         if self._verdict is None:
@@ -282,6 +273,10 @@ def search_pairs(
         raise ValueError(f"max steps must be >= 0, got {max_steps}")
     if checkpoint_path == "":
         raise ValueError("checkpoint path must not be empty")
+    if checkpoint_path is not None and not os.path.isdir(
+        os.path.dirname(checkpoint_path) or os.curdir
+    ):
+        raise ValueError(f"checkpoint directory of {checkpoint_path!r} does not exist")
 
     if checkpoint is not None:
         if checkpoint.m != m:
@@ -318,23 +313,20 @@ def search_pairs(
         if (
             prev_term.survives
             and curr_term.survives
-            and prev_term.screened()
-            and curr_term.screened()
+            and prev_term.verdict(rounds).is_probable_prime
+            and curr_term.verdict(rounds).is_probable_prime
         ):
-            p_verdict = prev_term.verdict(rounds)
-            q_verdict = curr_term.verdict(rounds)
-            if p_verdict.is_probable_prime and q_verdict.is_probable_prime:
-                found.append(
-                    PairRecord(
-                        m=m,
-                        index=n - 1,
-                        p=prev,
-                        q=curr,
-                        p_verdict=p_verdict,
-                        q_verdict=q_verdict,
-                        digits_q=decimal_digits(curr),
-                    )
+            found.append(
+                PairRecord(
+                    m=m,
+                    index=n - 1,
+                    p=prev,
+                    q=curr,
+                    p_verdict=prev_term.verdict(rounds),
+                    q_verdict=curr_term.verdict(rounds),
+                    digits_q=decimal_digits(curr),
                 )
+            )
         # advance to the state holding (t_n, t_{n+1}); a step from a
         # quasisolution is integral and gives a quasisolution again
         prev, curr, n = curr, sigma_power(curr, m) // prev, n + 1

@@ -126,6 +126,31 @@ class TestSearchCommand:
         assert (code, out) == (2, "")
         assert list(tmp_path.iterdir()) == []
 
+    def test_missing_checkpoint_directory_is_found_before_the_walk(
+        self, run_cli, tmp_path, monkeypatch
+    ):
+        def no_step(*args):
+            raise AssertionError("the walk took a step")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(search, "sigma_power", no_step)
+        code, out = run_cli(
+            "search", "--m", "2", "--digits", "300",
+            "--checkpoint", os.path.join("nodir", "x.ck"),
+            "--checkpoint-every", "100000",
+        )
+        assert (code, out) == (2, "")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_ascii_checkpoint_is_status_3(self, run_cli, tmp_path, capsys):
+        path = tmp_path / "walk.ck"
+        path.write_bytes(b"sigma-chain-checkpoint v1\nm=2\nn=5\nprev=13\ncurr=61\xff\n")
+        code, _ = run_cli(
+            "search", "--m", "2", "--digits", "20", "--checkpoint", str(path)
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("checkpoint error:")
+
 
 class TestSeedsCommand:
     def test_m4_seed_list(self, run_cli):
