@@ -30,6 +30,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from math import gcd, isqrt, prod
 
 __all__ = [
@@ -60,13 +61,26 @@ DEFAULT_ROUNDS = 40
 _DETERMINISTIC_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
-def _sieve(limit: int) -> tuple[int, ...]:
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = b"\x00" * len(flags[p * p :: p])
-    return tuple(i for i, f in enumerate(flags) if f)
+def _sieve(limit: int, start: int = 2) -> tuple[int, ...]:
+    """The primes p with start <= p <= limit, ascending.
+
+    Only the odd numbers of the range are sieved.  A range from 2 or 3
+    finds its sieving primes, those up to isqrt(limit), in itself; any
+    other range takes them from one sieve from 2.
+    """
+    first_odd = max(start, 3) | 1
+    flags = bytearray(b"\x01") * max(0, (limit - first_odd) // 2 + 1)
+    own = first_odd == 3
+    root = isqrt(limit)
+    for p in range(3, root + 1, 2) if own else _sieve(root, 3):
+        if own and not flags[(p - 3) // 2]:
+            continue
+        first = max(p * p, -(-first_odd // p) * p)
+        if first % 2 == 0:
+            first += p
+        flags[(first - first_odd) // 2 :: p] = bytes(len(range(first, limit + 1, 2 * p)))
+    odd_primes = tuple(compress(range(first_odd, limit + 1, 2), flags))
+    return (2,) + odd_primes if start <= 2 <= limit else odd_primes
 
 
 _SMALL_PRIMES = _sieve(TRIAL_DIVISION_BOUND)
@@ -226,9 +240,15 @@ def bounded_square_part(x: int, trial_bound: int) -> int:
         raise ValueError(f"expected a positive integer, got {x}")
     if trial_bound < 2:
         raise ValueError(f"trial bound must be >= 2, got {trial_bound}")
+    return _square_part(x, small_primes(trial_bound))
+
+
+def _square_part(x: int, primes: tuple[int, ...]) -> int:
+    """:func:`bounded_square_part` with the primes up to the trial bound
+    given, so that a caller probing many values sieves them once."""
     square = 1
     rest = x
-    for p in small_primes(trial_bound):
+    for p in primes:
         if p * p > rest:
             break
         exponent = 0

@@ -9,7 +9,7 @@ consecutive terms for primality and emitting a record whenever both are
 written atomically so that interrupting and resuming reproduces the
 uninterrupted output byte for byte.
 
-Each pair (t_n, t_{n+1}) goes through three stages, cheapest first, and
+Each pair (t_n, t_{n+1}) goes through four stages, cheapest first, and
 only a pair that passes one stage reaches the next:
 
 (a) Trial division of every term by the primes below 10**5 that can
@@ -23,7 +23,13 @@ only a pair that passes one stage reaches the next:
     with the product of each block of 256 of these primes, as in
     :func:`~sigmapairs.arith.is_prime`.
 (b) Pairing: a pair is a candidate only when both terms survive (a).
-(c) Confirmation: the full ``is_prime(x, rounds)``, first on t_n and
+(c) A second trial-division tier on the terms of a candidate pair, t_n
+    first: the admissible primes above 10**5 up to a bound B(x) that
+    grows with the term, about 1.8e6 * (digits / 1000)**1.7, where one
+    more prime costs as much as the Miller-Rabin round it is expected
+    to save.  The tier runs from about 190 digits on.  Its primes are
+    sieved on first use and kept as one product per segment.
+(d) Confirmation: the full ``is_prime(x, rounds)``, first on t_n and
     then, if t_n is a probable prime, on t_{n+1}.  The verdicts in a
     :class:`PairRecord` come from this call.
 
@@ -40,9 +46,11 @@ from dataclasses import dataclass
 
 from .arith import (
     DEFAULT_ROUNDS,
+    TRIAL_DIVISION_BOUND,
     PrimalityVerdict,
     _BlockTrialDivisor,
-    bounded_square_part,
+    _sieve,
+    _square_part,
     decimal_digits,
     is_prime,
     sigma_power,
@@ -206,13 +214,16 @@ def _validate_checkpoint(checkpoint: SearchCheckpoint) -> None:
             )
 
 
+def _admissible(p: int, m: int) -> bool:
+    """Whether the prime p can divide a chain term for exponent m (stage
+    (a) in the module docstring)."""
+    return (m + 1) % p == 0 or math.gcd(p - 1, m + 1) > 1
+
+
 @functools.cache
 def _trial_primes(m: int) -> tuple[int, ...]:
-    """The primes below the trial-division bound that can divide a chain
-    term for exponent m (stage (a) in the module docstring)."""
-    return tuple(
-        p for p in small_primes() if (m + 1) % p == 0 or math.gcd(p - 1, m + 1) > 1
-    )
+    """The admissible primes below the trial-division bound."""
+    return tuple(p for p in small_primes() if _admissible(p, m))
 
 
 @functools.cache
@@ -220,18 +231,89 @@ def _trial_divisor(m: int) -> _BlockTrialDivisor:
     return _BlockTrialDivisor(_trial_primes(m))
 
 
+# The tier bound B of stage (c), from measured layer costs (BENCH_10.json).
+# Raising B by dB costs one pass over the tier primes in dB more integers,
+# about 5.8 ms per 10**6 for a term of 1000 digits and close to linear in
+# the digits d.  It catches a composite term that passed every smaller
+# prime with chance dB / (B ln B), as for a random integer: for m = 2 half
+# the primes are admissible and each divides a term with chance 2 / p.
+# (On the chain, 14% of such terms of 170 to 2500 digits have a factor in
+# (10**5, 10**6], against 17% predicted, and 30% in (10**5, 10**7],
+# against 29%.)  A catch saves the Miller-Rabin round that would reject
+# the term: 6.7 ms at 300 digits, 138 ms at 1000 and 6.9 s at 4000.
+# Saving equals cost where B ln B = round / pass per unit of B, which
+# gives B = 2.4e5, 1.7e6 and 2.0e7 at 300, 1000 and 4000 digits.  The fit
+# B = 1.8e6 * (d / 1000)**1.7 is within 9% of the solution at 300, 500,
+# 1000, 2000 and 4000 digits, where the optimum is flat.  The tier starts
+# where B passes the stage (a) bound, near 190 digits, so B(x) < x
+# wherever it runs.
+_TIER_B_AT_1000_DIGITS = 1.8e6
+_TIER_B_EXPONENT = 1.7
+# Integers per sieve segment; each segment keeps only its product.
+_TIER_SEGMENT = 2**15
+_DIGITS_PER_BIT = math.log10(2)
+
+
+def _tier_bound(x: int) -> int:
+    """B(x): the schedule above, rounded up to whole segments past the
+    stage (a) bound, which it equals where the tier does not run."""
+    digits = x.bit_length() * _DIGITS_PER_BIT
+    target = _TIER_B_AT_1000_DIGITS * (digits / 1000) ** _TIER_B_EXPONENT
+    segments = max(0, math.ceil((target - TRIAL_DIVISION_BOUND) / _TIER_SEGMENT))
+    return TRIAL_DIVISION_BOUND + segments * _TIER_SEGMENT
+
+
+class _Tier:
+    """Stage (c): the admissible primes in (TRIAL_DIVISION_BOUND, B(x)],
+    as one product per segment of ``_TIER_SEGMENT`` integers.  Segments
+    are sieved on first demand and kept, so the tier reaches the largest
+    bound asked for so far and never sieves a segment twice."""
+
+    __slots__ = ("_m", "_products")
+
+    def __init__(self, m: int):
+        self._m = m
+        self._products: list[int] = []
+
+    def finds_factor(self, x: int) -> bool:
+        """Whether an admissible prime in (TRIAL_DIVISION_BOUND, B(x)]
+        divides ``x``; such a prime is a proper factor, as B(x) < x."""
+        bound = _tier_bound(x)
+        if bound == TRIAL_DIVISION_BOUND:
+            return False
+        assert bound < x
+        segments = (bound - TRIAL_DIVISION_BOUND) // _TIER_SEGMENT
+        while len(self._products) < segments:
+            low = TRIAL_DIVISION_BOUND + len(self._products) * _TIER_SEGMENT
+            self._products.append(math.prod(
+                p for p in _sieve(low + _TIER_SEGMENT, low + 1) if _admissible(p, self._m)
+            ))
+        return any(math.gcd(product, x) > 1 for product in self._products[:segments])
+
+
+@functools.cache
+def _tier(m: int) -> _Tier:
+    return _Tier(m)
+
+
 class _Term:
     """One chain term in the pipeline.  Stage (a) runs on construction;
-    stage (c) runs on demand and is cached, so a term is never retested
-    when it moves from ``curr`` to ``prev``."""
+    stages (c) and (d) run on demand and are cached, so a term passes
+    each at most once, also when it moves from ``curr`` to ``prev``."""
 
-    __slots__ = ("value", "survives", "_verdict")
+    __slots__ = ("value", "survives", "_clears_tier", "_verdict")
 
     def __init__(self, value: int, divisor: _BlockTrialDivisor):
         self.value = value
         p = divisor.smallest_factor(value)
         self.survives = p is None or p == value
+        self._clears_tier: bool | None = None
         self._verdict: PrimalityVerdict | None = None
+
+    def clears_tier(self, tier: _Tier) -> bool:
+        if self._clears_tier is None:
+            self._clears_tier = not tier.finds_factor(self.value)
+        return self._clears_tier
 
     def verdict(self, rounds: int) -> PrimalityVerdict:
         if self._verdict is None:
@@ -294,6 +376,7 @@ def search_pairs(
         found = []
 
     divisor = _trial_divisor(m)
+    tier = _tier(m)
     prev_term = _Term(prev, divisor)
     steps = 0
     overflow = 10**digits_limit  # curr >= overflow means too many digits
@@ -313,6 +396,8 @@ def search_pairs(
         if (
             prev_term.survives
             and curr_term.survives
+            and prev_term.clears_tier(tier)
+            and curr_term.clears_tier(tier)
             and prev_term.verdict(rounds).is_probable_prime
             and curr_term.verdict(rounds).is_probable_prime
         ):
@@ -449,6 +534,9 @@ def square_divisor_probe(n_terms: int, trial_bound: int) -> list[SquareProbeRow]
     supported on primes <= trial_bound."""
     if n_terms < 3:
         raise ValueError(f"need at least 3 terms, got {n_terms}")
+    if trial_bound < 2:
+        raise ValueError(f"trial bound must be >= 2, got {trial_bound}")
+    primes = small_primes(trial_bound)
     terms = chain_terms(2, n_terms + 1)
     rows = []
     for n in range(1, n_terms + 1):
@@ -457,8 +545,8 @@ def square_divisor_probe(n_terms: int, trial_bound: int) -> list[SquareProbeRow]
         rows.append(
             SquareProbeRow(
                 n=n,
-                l_lower=bounded_square_part(value, trial_bound),
-                s_lower=bounded_square_part(value * partner, trial_bound),
+                l_lower=_square_part(value, primes),
+                s_lower=_square_part(value * partner, primes),
             )
         )
     return rows

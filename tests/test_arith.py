@@ -30,6 +30,22 @@ class TestSmallPrimes:
         assert small_primes(bound) == tuple(plain)
 
 
+class TestSieveRange:
+    @pytest.mark.parametrize("start, limit", [
+        (0, 50), (3, 3), (3, 100), (4, 4), (4, 100), (9, 8), (97, 97),
+        (98, 100), (99_990, 100_300), (10**6 + 1, 10**6 + 2**15),
+    ])
+    def test_equals_a_plain_sieve_on_the_range(self, start, limit):
+        flags = bytearray(b"\x01") * (limit + 1)
+        flags[0:2] = b"\x00\x00"
+        for p in range(2, math.isqrt(limit) + 1):
+            if flags[p]:
+                flags[p * p :: p] = bytes(len(flags[p * p :: p]))
+        assert arith._sieve(limit, start) == tuple(
+            p for p in range(start, limit + 1) if flags[p]
+        )
+
+
 _PRIMES = small_primes()
 # one congruence class of the primes, as the search's admissible lists are
 _PRIMES_1_MOD_3 = tuple(p for p in _PRIMES if p % 3 == 1)

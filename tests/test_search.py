@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sigmapairs import search
+from sigmapairs import arith, search
 from sigmapairs.arith import (
     DEFAULT_ROUNDS,
+    TRIAL_DIVISION_BOUND,
     Primality,
     decimal_digits,
     is_prime,
@@ -110,6 +112,40 @@ class TestSearchPairs:
             assert is_quasisolution(q, nxt, m), (m, p, q)
 
 
+@functools.cache
+def _plain_primes(bound):
+    """The primes up to ``bound`` by a plain sieve of Eratosthenes."""
+    flags = bytearray(b"\x01") * (bound + 1)
+    flags[0:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(bound) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(flags[p * p :: p]))
+    return tuple(p for p, flag in enumerate(flags) if flag)
+
+
+# Above the tier bound of every value the tier tests below check.
+_TIER_REFERENCE_BOUND = 2 * 10**6
+
+
+@functools.cache
+def _admissible_primes(m):
+    """The primes up to the reference bound that can divide a chain term."""
+    return tuple(
+        p for p in _plain_primes(_TIER_REFERENCE_BOUND)
+        if (m + 1) % p == 0 or math.gcd(p - 1, m + 1) > 1
+    )
+
+
+def _tier_reference(m, x):
+    """Whether an admissible prime in (TRIAL_DIVISION_BOUND, B(x)] divides
+    x, by one remainder per prime."""
+    bound = search._tier_bound(x)
+    assert bound <= _TIER_REFERENCE_BOUND
+    return any(
+        x % p == 0 for p in _admissible_primes(m) if TRIAL_DIVISION_BOUND < p <= bound
+    )
+
+
 def _reference_search(m, seed, digits_limit, rounds=DEFAULT_ROUNDS):
     """Full primality test on both terms of every consecutive pair."""
     overflow = 10**digits_limit
@@ -153,7 +189,8 @@ class TestCandidatePipeline:
         )
 
     @pytest.mark.parametrize(
-        "digits, rounds", [(1, 40), (2, 40), (20, 40), (60, 2), (100, 40), (300, 40)]
+        "digits, rounds",
+        [(1, 40), (2, 40), (20, 40), (60, 2), (100, 40), (300, 40), (400, 40)],
     )
     def test_m2_matches_full_test_of_every_pair(self, digits, rounds):
         assert search_pairs(2, digits_limit=digits, rounds=rounds) == _reference_search(
@@ -199,6 +236,75 @@ class TestCandidatePipeline:
             x *= primes[pick % len(primes)]
         survives = search._Term(x, search._trial_divisor(m)).survives
         assert survives == all(x % p for p in primes)
+
+    @pytest.mark.parametrize("m, seed, digits", [
+        (2, (1, 1), 1000), (3, (1, 1), 1000), (4, (1, 1), 1000),
+        (4, (5, 11), 1000), (4, (61, 131), 1000), (4, (101, 491), 1000),
+        (6, (1, 1), 2000),
+    ])
+    def test_tier_equals_the_per_prime_rule(self, m, seed, digits):
+        # stage (c) by segment gcd against one remainder per admissible
+        # prime in (10**5, B(x)], on the terms of candidate pairs; no pair
+        # of an m > 2 chain above the tier's start is a candidate, and
+        # those chains pass these sizes in a few steps, so all their
+        # terms are checked
+        divisor = search._trial_divisor(m)
+        state = start_state(m, seed)
+        terms = [state.prev]
+        while state.curr < 10**digits:
+            terms.append(state.curr)
+            state = chain_next(state)
+        survives = [search._Term(x, divisor).survives for x in terms]
+        checked = set()
+        for i in range(1, len(terms)):
+            if m > 2 or (survives[i - 1] and survives[i]):
+                checked.update(terms[i - 1 : i + 1])
+        checked = sorted(
+            x for x in checked if search._tier_bound(x) > TRIAL_DIVISION_BOUND
+        )
+        assert checked
+        tier = search._Tier(m)  # built from nothing, segment by segment
+        for x in checked:
+            assert tier.finds_factor(x) == _tier_reference(m, x), (m, seed, x)
+
+    @given(
+        m=st.sampled_from([2, 3, 4, 6]),
+        picks=st.lists(st.integers(0, 10**6), max_size=3),
+        cofactor=st.integers(10**180, 10**500),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_tier_equals_the_per_prime_rule_off_the_chain(self, m, picks, cofactor):
+        # built values: the picked admissible primes lie below, inside and
+        # above the tier's range (10**5, B(x)]
+        primes = _admissible_primes(m)
+        x = cofactor
+        for pick in picks:
+            x *= primes[pick % len(primes)]
+        assert search._tier(m).finds_factor(x) == _tier_reference(m, x)
+
+    def test_tier_bound_grows_with_the_term_and_stays_below_it(self):
+        # B depends on the bit length alone, so the least x of each bit
+        # length is the one B comes closest to
+        smallest = [1 << (bits - 1) for bits in range(1, 40_001)]
+        bounds = [search._tier_bound(x) for x in smallest]
+        assert bounds == sorted(bounds)
+        assert bounds[-1] > TRIAL_DIVISION_BOUND
+        for x, bound in zip(smallest, bounds):
+            assert bound == TRIAL_DIVISION_BOUND or bound < x
+
+    def test_tier_runs_at_most_once_per_term(self, monkeypatch):
+        seen = []
+        finds_factor = search._Tier.finds_factor
+
+        def counting(tier, x):
+            if x > 1:  # t_1 = t_2 = 1; every later term is new
+                seen.append(x)
+            return finds_factor(tier, x)
+
+        monkeypatch.setattr(search._Tier, "finds_factor", counting)
+        search_pairs(2, digits_limit=600)
+        assert any(search._tier_bound(x) > TRIAL_DIVISION_BOUND for x in seen)
+        assert len(seen) == len(set(seen))
 
     def test_no_term_is_tested_twice(self, monkeypatch):
         # one primality call per term value, whatever its round count
@@ -486,6 +592,39 @@ class TestSquareDivisorProbe:
             assert math.isqrt(row.l_lower) ** 2 == row.l_lower
             assert math.isqrt(row.s_lower) ** 2 == row.s_lower
 
+    def test_sieves_once_above_the_cached_primes(self, monkeypatch):
+        calls = []
+        sieve = arith._sieve
+
+        def counting(*args):
+            calls.append(args)
+            return sieve(*args)
+
+        monkeypatch.setattr(arith, "_sieve", counting)
+        rows = square_divisor_probe(12, 10**6)
+        assert len(calls) == 1
+
+        def plain_square_part(x):
+            square = 1
+            for p in _plain_primes(10**6):
+                exponent = 0
+                while x % p == 0:
+                    x //= p
+                    exponent += 1
+                square *= p ** (exponent - exponent % 2)
+            return square
+
+        terms = chain_terms(2, 13)
+        for row in rows:
+            value = terms[row.n - 1] ** 2 + terms[row.n - 1] + 1
+            partner = terms[row.n] ** 2 + terms[row.n] + 1
+            assert row.l_lower == plain_square_part(value)
+            assert row.s_lower == plain_square_part(value * partner)
+
     def test_rejects_short_probe(self):
         with pytest.raises(ValueError):
             square_divisor_probe(2, 100)
+
+    def test_rejects_trial_bound_below_two(self):
+        with pytest.raises(ValueError):
+            square_divisor_probe(6, 1)
