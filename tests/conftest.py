@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import multiprocessing
 
 import pytest
 
@@ -9,6 +10,17 @@ from sigmapairs.cli import main as cli_main
 KNOWN_PAIRS = ((3, 3, 13), (4, 13, 61), (22, 22419767768701, 107419560853453))
 
 FIRST_TERMS = [1, 1, 3, 13, 61, 291, 1393, 6673, 31971, 153181]
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left_running():
+    """Fail a test that leaves a child process running, such as the
+    search's worker pool on an error path.  The children are left to
+    their owner: ending a live pool's workers makes it fork new ones."""
+    yield
+    leaked = multiprocessing.active_children()
+    if leaked:
+        pytest.fail(f"test left {len(leaked)} child process(es) running: {leaked}")
 
 
 @pytest.fixture

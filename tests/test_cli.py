@@ -4,8 +4,10 @@ import json
 import os
 import pkgutil
 import re
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -452,3 +454,52 @@ class TestModuleEntryPoint:
         proc = self.run_module("search")
         assert proc.returncode == 64
         assert "--digits" in proc.stderr
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="the search forks no workers on one CPU",
+    )
+    def test_interrupt_ends_the_pool_and_leaves_a_resumable_checkpoint(
+        self, run_cli, tmp_path
+    ):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        ck = tmp_path / "ck"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sigmapairs", "search", "--m", "2",
+             "--digits", "1500", "--checkpoint", str(ck)],
+            cwd=tmp_path, start_new_session=True, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        try:
+            # the pair at index 739 is the first one with 500 digits, so a
+            # state past it shows that the pool has started and confirmed it
+            def past_the_first_pooled_pair():
+                return ck.exists() and search.load_checkpoint(str(ck)).n > 741
+
+            deadline = time.monotonic() + 60
+            while (proc.poll() is None and time.monotonic() < deadline
+                   and not past_the_first_pooled_pair()):
+                time.sleep(0.01)
+            assert proc.poll() is None, "the search ended before it was interrupted"
+            assert past_the_first_pooled_pair()
+            # to the whole group, as a terminal's Ctrl-C does
+            os.killpg(proc.pid, signal.SIGINT)
+            _, stderr = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        # one traceback, the search's: the workers leave the interrupt to it
+        assert proc.returncode == -signal.SIGINT, stderr
+        assert stderr.count("Traceback") == 1, stderr
+        assert stderr.rstrip().endswith("KeyboardInterrupt"), stderr
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+        # below 10**1500 the walk finds only the three pairs below 10**20
+        code, out = run_cli(
+            "search", "--m", "2", "--digits", "1500", "--checkpoint", str(ck), "--json"
+        )
+        assert code == 0
+        assert results_only(out) == results_only(run_cli(
+            "search", "--m", "2", "--digits", "20", "--json")[1])

@@ -1,6 +1,11 @@
 import functools
+import json
 import math
+import multiprocessing
 import os
+import subprocess
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -319,6 +324,246 @@ class TestCandidatePipeline:
         search_pairs(2, digits_limit=300)
         assert {3, 13, 61, 22419767768701, 107419560853453} <= set(calls)
         assert len(calls) == len(set(calls))
+
+
+# Probable primes above the pool gate, built as Mersenne primes, and
+# composites of the same size: one with a factor below 10**5 and one
+# that only Miller-Rabin rejects.
+_P1 = 2**2203 - 1  # 664 digits
+_P2 = 2**2281 - 1  # 687 digits
+_TD_COMPOSITE = 3 * _P1
+_MR_COMPOSITE = (2**607 - 1) * (2**1279 - 1)  # 569 digits
+_FEW_ROUNDS = 3
+
+
+def _forced_pool(monkeypatch, workers):
+    """Give stage (d) ``workers`` processes (0: none), whatever the CPUs;
+    returns the list that records each time the pool size is asked for."""
+    asked = []
+    monkeypatch.setattr(search, "_pool_size", lambda: asked.append(workers) or workers)
+    return asked
+
+
+def _logged_is_prime(monkeypatch, log_path):
+    """Patch the search's primality test to append 'pid value' to a file,
+    from this process and from the workers it forks afterwards."""
+
+    def logged(x, rounds=DEFAULT_ROUNDS):
+        with open(log_path, "a", encoding="ascii") as handle:
+            handle.write(f"{os.getpid()} {x}\n")
+        return is_prime(x, rounds)
+
+    monkeypatch.setattr(search, "is_prime", logged)
+
+    def calls():
+        if not os.path.exists(log_path):
+            return []
+        with open(log_path, encoding="ascii") as handle:
+            return [tuple(map(int, line.split())) for line in handle]
+
+    return calls
+
+
+def _confirm_walk(monkeypatch, terms, indices):
+    """Stage (d) of the pairs (terms[i], terms[i + 1]) for i in ``indices``,
+    at chain index i + 1, as a walk queues them: the state at n = i + 2
+    before each pair, and one more state at the end.  Returns the records
+    and the states written."""
+    states = []
+    monkeypatch.setattr(search, "write_checkpoint", lambda _, state: states.append(state))
+    divisor = search._trial_divisor(2)
+    term_objects = [search._Term(x, divisor) for x in terms]
+    confirmer = search._Confirmer(2, _FEW_ROUNDS, "unused", [])
+    try:
+        for i in indices:
+            confirmer.save(i + 2, terms[i], terms[i + 1])
+            confirmer.add_pair(i + 1, term_objects[i], term_objects[i + 1])
+            confirmer.settle(wait=False)
+        confirmer.save(indices[-1] + 3, terms[-2], terms[-1])
+        confirmer.settle(wait=True)
+    finally:
+        confirmer.close()
+    return confirmer.found, states
+
+
+class TestPooledConfirmation:
+    @pytest.mark.parametrize("terms, indices", [
+        # (composite, .), then (prime, prime) sharing its first term, then
+        # (prime, composite) sharing its first term: each pair waits for
+        # the one before it
+        ([_MR_COMPOSITE, _P1, _P2, _TD_COMPOSITE], [0, 1, 2]),
+        # pairs apart from each other: (prime, composite) and (composite, .)
+        ([_P1, _MR_COMPOSITE, 7, _TD_COMPOSITE, _P2], [0, 3]),
+        ([_P2, _TD_COMPOSITE, 7, _MR_COMPOSITE, _P1], [0, 3]),
+    ])
+    def test_pooled_pairs_equal_in_process_pairs(
+        self, monkeypatch, tmp_path, terms, indices
+    ):
+        _forced_pool(monkeypatch, 0)
+        serial_calls = _logged_is_prime(monkeypatch, tmp_path / "serial.log")
+        serial, serial_states = _confirm_walk(monkeypatch, terms, indices)
+
+        asked = _forced_pool(monkeypatch, 2)
+        pooled_calls = _logged_is_prime(monkeypatch, tmp_path / "pooled.log")
+        pooled, states = _confirm_walk(monkeypatch, terms, indices)
+
+        assert asked == [2]
+        assert {pid for pid, _ in pooled_calls()} - {os.getpid()}
+        assert pooled == serial
+        assert states == serial_states
+        # the same values are tested, each once
+        values = [x for _, x in pooled_calls()]
+        assert sorted(values) == sorted(x for _, x in serial_calls())
+        assert len(values) == len(set(values))
+        expected = [
+            (i + 1, terms[i], terms[i + 1]) for i in indices
+            if terms[i] in (_P1, _P2) and terms[i + 1] in (_P1, _P2)
+        ]
+        assert [(r.index, r.p, r.q) for r in pooled] == expected
+        for record in pooled:
+            assert record.p_verdict == is_prime(record.p, _FEW_ROUNDS)
+            assert record.q_verdict == is_prime(record.q, _FEW_ROUNDS)
+
+    def test_states_wait_for_the_pairs_before_them(self, monkeypatch):
+        # a record found by a worker lands in every state after its pair
+        # and in none before it
+        _forced_pool(monkeypatch, 2)
+        terms = [_MR_COMPOSITE, _P1, _P2, _TD_COMPOSITE]
+        found, states = _confirm_walk(monkeypatch, terms, [0, 1, 2])
+        assert [(r.index, r.p, r.q) for r in found] == [(2, _P1, _P2)]
+        assert [(s.n, len(s.found)) for s in states] == [(2, 0), (3, 0), (4, 1), (5, 1)]
+
+    def test_small_searches_import_no_process_modules(self):
+        # the pool's modules are imported with the pool, and these
+        # searches have no candidate pair with 500 digits
+        script = (
+            "import io, json, sys, contextlib\n"
+            "modules = ('multiprocessing', 'concurrent.futures')\n"
+            "seen = []\n"
+            "import sigmapairs\n"
+            "from sigmapairs.cli import main\n"
+            "seen.append([m in sys.modules for m in modules])\n"
+            "for argv in (['search', '--m', '2', '--digits', '300'],\n"
+            "             ['search', '--m', '4', '--seed', '5,11', '--digits', '1000']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0\n"
+            "    seen.append([m in sys.modules for m in modules])\n"
+            "print(json.dumps(seen))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[False, False]] * 3
+
+    def test_pool_ends_when_the_search_raises(self, monkeypatch, tmp_path):
+        asked = _forced_pool(monkeypatch, 2)
+
+        def failing_write(path, state):
+            if state.n > 741:  # after the first pair with 500 digits
+                raise OSError("disk full")
+
+        monkeypatch.setattr(search, "write_checkpoint", failing_write)
+        with pytest.raises(OSError) as raised:
+            search_pairs(2, digits_limit=700, checkpoint_path=str(tmp_path / "walk.ck"))
+        assert asked == [2]
+        # the traceback still holds the search's frame, and the pool with it
+        assert raised.traceback
+        assert multiprocessing.active_children() == []
+
+    def test_no_workers_while_other_threads_run(self):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert search._pool_size() == 0
+        finally:
+            release.set()
+            thread.join(10)
+        assert not thread.is_alive()
+
+    def test_no_pool_below_the_gate(self, monkeypatch):
+        asked = _forced_pool(monkeypatch, 2)
+        search_pairs(2, digits_limit=500)
+        assert asked == []
+
+
+# A 700-digit walk confirms the pairs at these indices in the pool (their
+# first terms have 502 to 639 digits) and all others in process.
+_POOLED_700 = (739, 862, 901, 910, 940)
+
+
+class TestResumeAcrossThePool:
+    @pytest.fixture(scope="class")
+    def serial_walk(self, tmp_path_factory):
+        """The states written by the 700-digit walk with stage (d) in
+        process, and its records."""
+        mp = pytest.MonkeyPatch()
+        try:
+            _forced_pool(mp, 0)
+            states = []
+            write = search.write_checkpoint
+            mp.setattr(search, "write_checkpoint", lambda path, state: (
+                states.append(state), write(path, state)))
+            path = str(tmp_path_factory.mktemp("serial") / "walk.ck")
+            records = search_pairs(
+                2, digits_limit=700, checkpoint_path=path, checkpoint_every=5
+            )
+        finally:
+            mp.undo()
+        with open(path, "rb") as handle:
+            return states, records, handle.read()
+
+    def test_pooled_walk_writes_the_serial_states(
+        self, monkeypatch, tmp_path, serial_walk
+    ):
+        serial_states, serial_records, serial_file = serial_walk
+        asked = _forced_pool(monkeypatch, 2)
+        pairs = []
+        add_pair = search._Confirmer.add_pair
+        monkeypatch.setattr(search._Confirmer, "add_pair", lambda self, i, prev, curr: (
+            pairs.append((i, prev.value)), add_pair(self, i, prev, curr)))
+        states = []
+        write = search.write_checkpoint
+        monkeypatch.setattr(search, "write_checkpoint", lambda path, state: (
+            states.append(state), write(path, state)))
+        path = str(tmp_path / "walk.ck")
+        records = search_pairs(2, digits_limit=700, checkpoint_path=path, checkpoint_every=5)
+        assert asked == [2]
+        assert [i for i, x in pairs if x >= search._POOL_MIN] == list(_POOLED_700)
+        assert records == serial_records
+        assert states == serial_states
+        assert [s.n for s in states] == sorted({s.n for s in states})
+        for state in states:
+            assert state.found == tuple(r for r in records if r.index <= state.n - 2)
+        with open(path, "rb") as handle:
+            assert handle.read() == serial_file
+
+    @pytest.mark.parametrize("interrupt_at", [700, 880, 905, 990])
+    def test_resume_reproduces_the_uninterrupted_walk(
+        self, monkeypatch, tmp_path, serial_walk, interrupt_at
+    ):
+        # interrupted before, between and after the pooled pairs: the
+        # state at n holds (t_{n-1}, t_n), so a walk from n = 2 stopped
+        # after n - 2 steps has confirmed the pairs below index n - 1
+        _, serial_records, serial_file = serial_walk
+        _forced_pool(monkeypatch, 2)
+        path = str(tmp_path / "walk.ck")
+        search_pairs(
+            2, digits_limit=700, checkpoint_path=path, checkpoint_every=5,
+            max_steps=interrupt_at - 2,
+        )
+        assert load_checkpoint(path).n == interrupt_at
+        resumed = search_pairs(
+            2, digits_limit=700, checkpoint=load_checkpoint(path),
+            checkpoint_path=path, checkpoint_every=5,
+        )
+        assert resumed == serial_records
+        with open(path, "rb") as handle:
+            assert handle.read() == serial_file
 
 
 class TestCheckpoints:
