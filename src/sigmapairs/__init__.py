@@ -24,18 +24,15 @@ from .certify import (
     verify_known_combinations,
 )
 from .chains import (
-    BelowChainStart,
     ChainState,
     NonIntegralStep,
     chain_invariant,
     chain_next,
-    chain_prev,
     chain_terms,
     generate_s,
     generate_u,
     is_quasisolution,
     quadratic_identity_holds,
-    start_state,
 )
 from .oracles import ORACLES, OracleReport
 from .residues import (

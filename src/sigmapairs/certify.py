@@ -34,6 +34,7 @@ __all__ = [
     "NegativeMultiplier",
     "combine",
     "entails",
+    "form",
     "format_inequalities",
     "known_combinations",
     "known_inequalities",

@@ -1,4 +1,4 @@
-"""Quasichain sequences and the Vieta-style steps between their terms.
+"""Quasichain sequences and the Vieta-style step between their terms.
 
 A *quasisolution* for exponent m is a pair of positive integers (p, q),
 not necessarily prime, with p | sigma(q^m) and q | sigma(p^m).  For
@@ -28,28 +28,21 @@ from fractions import Fraction
 from .arith import sigma_power
 
 __all__ = [
-    "BelowChainStart",
     "ChainState",
     "NonIntegralStep",
     "chain_invariant",
     "chain_next",
-    "chain_prev",
     "chain_terms",
     "generate_s",
     "generate_u",
     "is_quasisolution",
     "quadratic_identity_holds",
-    "start_state",
 ]
 
 
 class NonIntegralStep(ValueError):
     """A chain step required a division that left a remainder, so the
     input was not a valid quasisolution state."""
-
-
-class BelowChainStart(ValueError):
-    """Descending further would need a term before index 1."""
 
 
 @dataclass(frozen=True)
@@ -63,16 +56,6 @@ class ChainState:
     curr: int
 
 
-def start_state(m: int, seed: tuple[int, int] = (1, 1)) -> ChainState:
-    """State holding the two seed terms, at indices 1 and 2."""
-    if m < 1:
-        raise ValueError(f"exponent must be >= 1, got {m}")
-    a, b = seed
-    if a < 1 or b < 1:
-        raise ValueError(f"seed terms must be positive, got {seed}")
-    return ChainState(m=m, n=2, prev=a, curr=b)
-
-
 def chain_next(state: ChainState) -> ChainState:
     """Advance one step: the new term is sigma(curr^m) / prev."""
     numerator = sigma_power(state.curr, state.m)
@@ -84,27 +67,17 @@ def chain_next(state: ChainState) -> ChainState:
     return ChainState(m=state.m, n=state.n + 1, prev=state.curr, curr=nxt)
 
 
-def chain_prev(state: ChainState) -> ChainState:
-    """Step back one index; inverse of :func:`chain_next` on chain states."""
-    if state.n < 2:
-        raise ValueError(f"state index must be >= 2, got {state.n}")
-    if state.n == 2:
-        raise BelowChainStart("descent would pass index 1")
-    numerator = sigma_power(state.prev, state.m)
-    before, remainder = divmod(numerator, state.curr)
-    if remainder:
-        raise NonIntegralStep(
-            f"{state.curr} does not divide sigma({state.prev}^{state.m})"
-        )
-    return ChainState(m=state.m, n=state.n - 1, prev=before, curr=state.prev)
-
-
 def chain_terms(m: int, count: int, seed: tuple[int, int] = (1, 1)) -> list[int]:
     """First ``count`` terms t_{m,1} .. t_{m,count} of the chain."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    state = start_state(m, seed)
-    terms = [state.prev, state.curr][:count]
+    if m < 1:
+        raise ValueError(f"exponent must be >= 1, got {m}")
+    a, b = seed
+    if a < 1 or b < 1:
+        raise ValueError(f"seed terms must be positive, got {seed}")
+    state = ChainState(m=m, n=2, prev=a, curr=b)
+    terms = [a, b][:count]
     while len(terms) < count:
         state = chain_next(state)
         terms.append(state.curr)

@@ -582,7 +582,8 @@ def search_pairs(
             ):
                 confirmer.add_pair(n - 1, prev_term, curr_term)
             # advance to the state holding (t_n, t_{n+1}); a step from a
-            # quasisolution is integral and gives a quasisolution again
+            # quasisolution is integral and gives a quasisolution again.
+            # Not chain_next: tracing and tests count steps by search.sigma_power.
             prev, curr, n = curr, sigma_power(curr, m) // prev, n + 1
             prev_term = curr_term
             steps += 1

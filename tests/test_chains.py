@@ -5,18 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigmapairs.chains import (
-    BelowChainStart,
     ChainState,
     NonIntegralStep,
     chain_invariant,
     chain_next,
-    chain_prev,
     chain_terms,
     generate_s,
     generate_u,
     is_quasisolution,
     quadratic_identity_holds,
-    start_state,
 )
 
 from conftest import FIRST_TERMS
@@ -49,10 +46,20 @@ class TestChainGeneration:
     def test_m4_chain_from_seed_5_11(self):
         assert chain_terms(4, 3, seed=(5, 11)) == [5, 11, 3221]
 
+    def test_rejects_invalid_input(self):
+        # two terms take no step, so only the explicit checks reject these
+        with pytest.raises(ValueError):
+            chain_terms(0, 2)
+        with pytest.raises(ValueError):
+            chain_terms(2, 2, seed=(0, 1))
+        # a seed that is no quasisolution fails at its first step
+        with pytest.raises(NonIntegralStep):
+            chain_terms(2, 3, seed=(2, 5))
+
 
 class TestChainSteps:
     def test_next_from_start(self):
-        state = start_state(2)
+        state = ChainState(m=2, n=2, prev=1, curr=1)
         values = []
         for _ in range(3):
             state = chain_next(state)
@@ -74,40 +81,6 @@ class TestChainSteps:
     def test_next_rejects_invalid_state(self):
         with pytest.raises(NonIntegralStep):
             chain_next(ChainState(m=2, n=4, prev=2, curr=5))
-
-    def test_prev_examples(self):
-        state = chain_prev(ChainState(m=2, n=5, prev=13, curr=61))
-        assert (state.prev, state.curr, state.n) == (3, 13, 4)
-        state = chain_prev(ChainState(m=2, n=3, prev=1, curr=3))
-        assert (state.prev, state.curr, state.n) == (1, 1, 2)
-        state = chain_prev(ChainState(m=2, n=7, prev=291, curr=1393))
-        assert (state.prev, state.curr) == (61, 291)
-
-    def test_prev_at_chain_start(self):
-        with pytest.raises(BelowChainStart):
-            chain_prev(start_state(2))
-
-    def test_prev_rejects_invalid_state(self):
-        with pytest.raises(NonIntegralStep):
-            chain_prev(ChainState(m=2, n=5, prev=5, curr=7))
-
-    @given(steps=st.integers(0, 40))
-    @settings(max_examples=50)
-    def test_prev_inverts_next_along_chain(self, steps):
-        state = start_state(2)
-        for _ in range(steps):
-            state = chain_next(state)
-        advanced = chain_next(state)
-        assert chain_prev(advanced) == state
-
-    @given(steps=st.integers(0, 8), m=st.integers(1, 4))
-    @settings(max_examples=60, deadline=None)
-    def test_prev_inverts_next_general_m(self, steps, m):
-        state = start_state(m)
-        for _ in range(steps):
-            state = chain_next(state)
-        advanced = chain_next(state)
-        assert chain_prev(advanced) == state
 
 
 class TestQuasisolutions:
@@ -178,7 +151,7 @@ class TestChainInvariant:
     @given(steps=st.integers(0, 30))
     @settings(max_examples=40)
     def test_constant_along_chain(self, steps):
-        state = start_state(2)
+        state = ChainState(m=2, n=2, prev=1, curr=1)
         for _ in range(steps):
             state = chain_next(state)
         advanced = chain_next(state)

@@ -36,6 +36,10 @@ class TestChainCommand:
         code, _ = run_cli("chain", "--m", "2", "--terms", "0")
         assert code == 2
 
+    def test_zero_exponent_is_precondition_error(self, run_cli):
+        # two terms take no step, so only chain_terms' own check rejects m = 0
+        assert run_cli("chain", "--m", "0", "--terms", "2") == (2, "")
+
     def test_every_serialized_integer_round_trips(self, run_cli):
         from sigmapairs.chains import chain_terms
 

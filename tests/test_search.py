@@ -22,11 +22,11 @@ from sigmapairs.arith import (
     small_primes,
 )
 from sigmapairs.chains import (
+    ChainState,
     NonIntegralStep,
     chain_next,
     chain_terms,
     is_quasisolution,
-    start_state,
 )
 from sigmapairs.search import (
     CheckpointFormatError,
@@ -154,7 +154,7 @@ def _tier_reference(m, x):
 def _reference_search(m, seed, digits_limit, rounds=DEFAULT_ROUNDS):
     """Full primality test on both terms of every consecutive pair."""
     overflow = 10**digits_limit
-    state = start_state(m, seed)
+    state = ChainState(m=m, n=2, prev=seed[0], curr=seed[1])
     records = []
     while state.curr < overflow:
         p_verdict = is_prime(state.prev, rounds)
@@ -219,7 +219,7 @@ class TestCandidatePipeline:
         primes = search._trial_primes(m)
         divisor = search._trial_divisor(m)
         overflow = 10**digits
-        state = start_state(m, seed)
+        state = ChainState(m=m, n=2, prev=seed[0], curr=seed[1])
         while state.curr < overflow:
             x = state.curr
             survives = search._Term(x, divisor).survives
@@ -254,7 +254,7 @@ class TestCandidatePipeline:
         # those chains pass these sizes in a few steps, so all their
         # terms are checked
         divisor = search._trial_divisor(m)
-        state = start_state(m, seed)
+        state = ChainState(m=m, n=2, prev=seed[0], curr=seed[1])
         terms = [state.prev]
         while state.curr < 10**digits:
             terms.append(state.curr)
@@ -574,6 +574,16 @@ class TestCheckpoints:
         assert loaded.m == 2
         assert tuple(records) == loaded.found
         assert not os.path.exists(path + ".tmp")
+        # chains with no pair: the walk's inline step ends where chain_next does
+        for m, steps in ((3, 8), (6, 5)):
+            path = str(tmp_path / f"walk{m}.ck")
+            assert search_pairs(
+                m, digits_limit=10**4, checkpoint_path=path, max_steps=steps
+            ) == []
+            loaded = load_checkpoint(path)
+            assert (loaded.n, loaded.prev, loaded.curr) == (
+                steps + 2, *chain_terms(m, steps + 2)[-2:]
+            )
 
     def test_round_trip_with_huge_terms(self, tmp_path):
         # m = 3 reaches tens of thousands of digits within a dozen
@@ -740,9 +750,14 @@ class TestLocatePairIndex:
         assert locate_pair_index(terms[999], terms[1000], 2) == 1000
 
     def test_agrees_with_generated_chain(self):
-        terms = chain_terms(2, 30)
-        for n in range(5, 30, 7):
-            assert locate_pair_index(terms[n - 1], terms[n], 2) == n
+        # the one descent, _descend, against the one ascent, chain_next
+        for m, seed, count in [
+            (2, (1, 1), 30), (3, (1, 1), 10), (4, (1, 1), 8), (6, (1, 1), 7),
+            (4, (5, 11), 8), (4, (61, 131), 8), (4, (101, 491), 8),
+        ]:
+            terms = chain_terms(m, count, seed)
+            for k in range(1, count):
+                assert locate_pair_index(terms[k - 1], terms[k], m) == k, (m, seed, k)
 
 
 class TestEnumerateSeeds:
