@@ -36,8 +36,6 @@ from .chains import (
 )
 from .oracles import ORACLES, OracleReport
 from .residues import (
-    NonUnitResidue,
-    PreconditionViolation,
     ResidueProfile,
     check_residue_pattern,
     residue_profile,

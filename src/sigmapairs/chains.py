@@ -76,6 +76,8 @@ def chain_terms(m: int, count: int, seed: tuple[int, int] = (1, 1)) -> list[int]
     a, b = seed
     if a < 1 or b < 1:
         raise ValueError(f"seed terms must be positive, got {seed}")
+    if not is_quasisolution(a, b, m):
+        raise NonIntegralStep(f"seed {seed} is not a quasisolution for m={m}")
     state = ChainState(m=m, n=2, prev=a, curr=b)
     terms = [a, b][:count]
     while len(terms) < count:

@@ -89,7 +89,7 @@ def _cmd_search(args):
     if len(seed) != 2:
         raise ValueError(f"seed must be 'p,q', got {args.seed!r}")
     checkpoint = None
-    if args.checkpoint and os.path.exists(args.checkpoint):
+    if args.checkpoint and os.path.isfile(args.checkpoint):
         checkpoint = search.load_checkpoint(args.checkpoint, rounds=args.mr_rounds)
     records = search.search_pairs(
         args.m,

@@ -10,8 +10,8 @@ counterexamples.
 Known honest failure: :func:`oracle_gcd` checks the claim that
 gcd(p^2+p+1, q^2+q+1) divides 3 along the chain.  That claim is false:
 the gcd also takes the values 7 and 21 (first at chain index 8, and 21
-at the large prime pair itself), because 7 divides x^2+x+1 whenever a
-term is congruent to 2 mod 7.  The oracle reports these witnesses.
+at the large prime pair itself), because 7 divides x^2+x+1 exactly when
+x is congruent to 2 or 4 mod 7.  The oracle reports these witnesses.
 The correct statement: the gcd divides 21 (a prime dividing both values
 divides 5pq + 1, so 5p = -4 and 25(p^2+p+1) = 21 modulo it), and along
 the m = 2 chain it equals 3^[n = 1 (mod 3)] * 7^[n = 8 (mod 14)], so the

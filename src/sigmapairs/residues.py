@@ -1,12 +1,11 @@
 """Residues of the principal m = 2 chain and their periodic structure.
 
-For a modulus w without prime divisors congruent to 1 (mod 3), the chain
-reduced mod w is periodic and the cycle carries a mirror symmetry coming
-from the time-reversibility of t_{n-1} t_{n+1} = t_n^2 + t_n + 1; the
-mod 11 cycle 1,1,3,2,6,5,7,7,5,6,2,3 reads the same backwards about the
-repeated 7s.  The modular recurrence divides by earlier residues, so it
-additionally needs every cycle residue to be a unit mod w; moduli
-divisible by 3 fail this at t_3 and are reported, not silently skipped.
+Consecutive terms satisfy 5pq = p^2 + q^2 + p + q + 1, so by Vieta
+t_{n+1} + t_{n-1} = 5 t_n - 1: the chain reduced mod any w >= 2 follows
+a division-free recurrence and is periodic.  The cycle carries a mirror
+symmetry coming from the time-reversibility of that recurrence; the
+mod 11 cycle 1,1,3,2,6,5,7,7,5,6,2,3 reads the same backwards about
+the repeated 7s.
 
 The chain also satisfies two exact congruence patterns: t_n = 1 (mod 4)
 and t_n = 1 (mod 3) whenever n is not a multiple of 3, while t_n = 0
@@ -16,27 +15,15 @@ and t_n = 1 (mod 3) whenever n is not a multiple of 3, while t_n = 0
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .chains import chain_terms
 
 __all__ = [
-    "NonUnitResidue",
-    "PreconditionViolation",
     "ResiduePatternReport",
     "ResidueProfile",
     "check_residue_pattern",
     "residue_profile",
 ]
-
-
-class PreconditionViolation(ValueError):
-    """The modulus has a prime divisor congruent to 1 (mod 3)."""
-
-
-class NonUnitResidue(ValueError):
-    """A chain residue is not invertible mod w, so the modular
-    recurrence cannot continue."""
 
 
 @dataclass(frozen=True)
@@ -45,19 +32,6 @@ class ResidueProfile:
     period: int
     cycle: tuple[int, ...]
     palindromic: bool
-
-
-def _prime_factors(w: int) -> set[int]:
-    factors = set()
-    d = 2
-    while d * d <= w:
-        while w % d == 0:
-            factors.add(d)
-            w //= d
-        d += 1
-    if w > 1:
-        factors.add(w)
-    return factors
 
 
 def _is_mirrored(cycle: tuple[int, ...]) -> bool:
@@ -78,24 +52,15 @@ def residue_profile(w: int) -> ResidueProfile:
     """
     if w < 2:
         raise ValueError(f"modulus must be >= 2, got {w}")
-    bad = sorted(f for f in _prime_factors(w) if f % 3 == 1)
-    if bad:
-        raise PreconditionViolation(
-            f"modulus {w} has prime divisors {bad} congruent to 1 (mod 3)"
-        )
 
-    a, b = 1 % w, 1 % w
+    a, b = 1, 1
     cycle: list[int] = []
-    # Terminates: with 3 | w, t_3 = 3 is a non-unit; otherwise x^2+x+1 is a
-    # unit mod w, the step permutes unit pairs and (1, 1) recurs.
+    # Terminates: the step is a bijection on pairs mod w, with inverse
+    # (b, c) -> (5b - c - 1, b), so (1, 1) recurs within w^2 steps.
     while True:
         cycle.append(a)
-        if gcd(a, w) != 1:
-            raise NonUnitResidue(
-                f"residue {a} at position {len(cycle)} is not a unit mod {w}"
-            )
-        a, b = b, (b * b + b + 1) * pow(a, -1, w) % w
-        if (a, b) == (1 % w, 1 % w):
+        a, b = b, (5 * b - a - 1) % w
+        if (a, b) == (1, 1):
             return ResidueProfile(
                 modulus=w,
                 period=len(cycle),

@@ -540,6 +540,8 @@ def search_pairs(
         os.path.dirname(checkpoint_path) or os.curdir
     ):
         raise ValueError(f"checkpoint directory of {checkpoint_path!r} does not exist")
+    if checkpoint_path is not None and os.path.isdir(checkpoint_path):
+        raise ValueError(f"checkpoint path {checkpoint_path!r} is a directory")
 
     if checkpoint is not None:
         if checkpoint.m != m:

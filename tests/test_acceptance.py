@@ -201,7 +201,8 @@ def test_criterion_09_gcd_divides_three():
     # 5p = -4 (mod r) (sigma is odd, and r = 3 divides 21 anyway).  Then
     # 25 sigma(p) = 16 - 20 + 25 = 21, so r | 21.  9 never divides
     # x^2+x+1, so the 3-part is at most 3; the proof does not rule out 49,
-    # so the 7-part rests on the exact law, which holds for every n <= 2000:
+    # so the 7-part rests on the exact law, which test_residues.py's
+    # test_gcd_law_holds_for_every_index checks over whole periods, for all n:
     # 3 | sigma(x) iff x = 1 (mod 3), and both terms are 1 (mod 3) iff
     # n = 1 (mod 3); the chain mod 7 has period 14, and both terms are
     # 2 (mod 7) iff n = 8 (mod 14).  The recorded claim "g divides 3" thus

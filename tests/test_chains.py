@@ -47,14 +47,15 @@ class TestChainGeneration:
         assert chain_terms(4, 3, seed=(5, 11)) == [5, 11, 3221]
 
     def test_rejects_invalid_input(self):
-        # two terms take no step, so only the explicit checks reject these
         with pytest.raises(ValueError):
             chain_terms(0, 2)
         with pytest.raises(ValueError):
             chain_terms(2, 2, seed=(0, 1))
-        # a seed that is no quasisolution fails at its first step
-        with pytest.raises(NonIntegralStep):
-            chain_terms(2, 3, seed=(2, 5))
+        # a seed that is no quasisolution is rejected up front, whether
+        # or not the walk would reach its first step
+        for count in (3, 2, 1):
+            with pytest.raises(NonIntegralStep, match="not a quasisolution"):
+                chain_terms(2, count, seed=(2, 5))
 
 
 class TestChainSteps:

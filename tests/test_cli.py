@@ -4,6 +4,7 @@ import json
 import os
 import pkgutil
 import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -58,6 +59,16 @@ class TestChainCommand:
         last = json_doc(out)["results"][-1]["value"]
         assert len(last) > 4300
         assert int(last) > 0
+
+
+@pytest.fixture
+def no_walk(monkeypatch):
+    """Fail the test if the search takes a chain step."""
+
+    def no_step(*args):
+        raise AssertionError("the walk took a step")
+
+    monkeypatch.setattr(search, "sigma_power", no_step)
 
 
 class TestSearchCommand:
@@ -132,14 +143,25 @@ class TestSearchCommand:
         assert (code, out) == (2, "")
         assert list(tmp_path.iterdir()) == []
 
-    def test_missing_checkpoint_directory_is_found_before_the_walk(
-        self, run_cli, tmp_path, monkeypatch
+    def test_directory_as_checkpoint_is_found_before_the_walk(
+        self, run_cli, tmp_path, monkeypatch, no_walk
     ):
-        def no_step(*args):
-            raise AssertionError("the walk took a step")
-
+        # exit 3 is for corrupt checkpoints; a directory is no checkpoint
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(search, "sigma_power", no_step)
+        (tmp_path / "walk.ck").mkdir()
+        (tmp_path / "walk.ck" / "keep.txt").write_text("kept\n")
+        code, out = run_cli(
+            "search", "--m", "2", "--digits", "300", "--checkpoint", "walk.ck"
+        )
+        assert (code, out) == (2, "")
+        assert [p.name for p in tmp_path.iterdir()] == ["walk.ck"]
+        assert [p.name for p in (tmp_path / "walk.ck").iterdir()] == ["keep.txt"]
+        assert (tmp_path / "walk.ck" / "keep.txt").read_text() == "kept\n"
+
+    def test_missing_checkpoint_directory_is_found_before_the_walk(
+        self, run_cli, tmp_path, monkeypatch, no_walk
+    ):
+        monkeypatch.chdir(tmp_path)
         code, out = run_cli(
             "search", "--m", "2", "--digits", "300",
             "--checkpoint", os.path.join("nodir", "x.ck"),
@@ -182,11 +204,17 @@ class TestResiduesCommand:
         assert results["cycle"] == ["1", "1", "3", "2", "6", "5", "7", "7", "5", "6", "2", "3"]
         assert results["palindromic"] is True
 
-    def test_mod_7_precondition(self, run_cli):
-        # 7 has a prime divisor = 1 (mod 3); 9 meets the non-unit t_3 = 3
-        for w in ("7", "9"):
-            code, _ = run_cli("residues", "--mod", w)
-            assert code == 2, w
+    def test_mod_7_and_9(self, run_cli):
+        # the division-free step takes moduli with a prime divisor
+        # = 1 (mod 3), such as 7, and multiples of 3, such as 9
+        for w, period in (("7", 14), ("9", 9)):
+            code, out = run_cli("residues", "--mod", w, "--json")
+            assert code == 0, w
+            assert json_doc(out)["results"]["period"] == period, w
+
+    @pytest.mark.parametrize("w", ["1", "0", "-3"])
+    def test_modulus_below_two_is_precondition_error(self, run_cli, w):
+        assert run_cli("residues", "--mod", w) == (2, "")
 
 
 class TestLemmasCommand:
@@ -418,10 +446,14 @@ class TestExitStatusRule:
         assert not issubclass(error, ValueError)
 
 
+def _readme() -> str:
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
 def test_readme_command_table_lists_every_flag():
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme, encoding="utf-8") as handle:
-        rows = re.findall(r"^\| `([a-z]+)([^`]*)`", handle.read(), re.MULTILINE)
+    rows = re.findall(r"^\| `([a-z]+)([^`]*)`", _readme(), re.MULTILINE)
     documented = {name: set(re.findall(r"--[a-z][a-z-]*", rest)) for name, rest in rows}
     subparsers = next(
         action for action in cli._build_parser()._actions
@@ -435,6 +467,28 @@ def test_readme_command_table_lists_every_flag():
         for name, parser in subparsers.choices.items()
     }
     assert documented == declared
+
+
+def test_readme_examples_run(run_cli, tmp_path, monkeypatch):
+    readme = _readme()
+    block = re.search(r"^Examples:\n\n```sh\n(.*?)^```", readme, re.M | re.S)[1]
+    commands = [
+        shlex.split(line)[3:]
+        for line in block.splitlines()
+        if line.startswith("python -m sigmapairs ")
+    ]
+    assert len(commands) == len(block.splitlines())
+    low, high, recipe = re.search(
+        r"for w in \$\(seq (\d+) (\d+)\); do python -m sigmapairs ([^;]+); done",
+        readme,
+    ).groups()
+    assert (low, high) == ("2", "50")
+    commands += [
+        shlex.split(recipe.replace("$w", str(w))) for w in range(int(low), int(high) + 1)
+    ]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run_cli(*argv)[0] == 0, argv
 
 
 class TestModuleEntryPoint:

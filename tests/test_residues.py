@@ -3,15 +3,9 @@ import math
 import pytest
 
 from sigmapairs.chains import chain_terms
-from sigmapairs.residues import (
-    NonUnitResidue,
-    PreconditionViolation,
-    check_residue_pattern,
-    residue_profile,
-)
+from sigmapairs.residues import check_residue_pattern, residue_profile
 
-# moduli <= 50 with no prime divisor congruent to 1 (mod 3) and coprime
-# to 3, for which the modular recurrence runs without hitting a non-unit
+# moduli <= 50 with no prime divisor congruent to 1 (mod 3), coprime to 3
 VALID_MODULI = [2, 4, 5, 8, 10, 11, 16, 17, 20, 22, 23, 25, 29, 32, 34,
                 40, 41, 44, 46, 47, 50]
 
@@ -42,17 +36,6 @@ class TestResidueProfile:
         assert profile.period == 3
         assert profile.cycle == (1, 1, 3)
 
-    @pytest.mark.parametrize("w", [7, 13, 14, 49, 91])
-    def test_rejects_moduli_with_one_mod_three_divisor(self, w):
-        with pytest.raises(PreconditionViolation):
-            residue_profile(w)
-
-    @pytest.mark.parametrize("w", [3, 9, 33, 15])
-    def test_multiples_of_three_hit_non_unit(self, w):
-        # 3 | t_3, so the modular division cannot continue
-        with pytest.raises(NonUnitResidue):
-            residue_profile(w)
-
     def test_rejects_modulus_below_two(self):
         with pytest.raises(ValueError):
             residue_profile(1)
@@ -72,28 +55,48 @@ class TestResidueProfile:
         ]
         assert shifts, f"no reflection axis for w={w}"
 
-    @pytest.mark.parametrize("w", [5, 11, 23, 29])
+    @pytest.mark.parametrize("w", [3, 5, 7, 9, 11, 13, 14, 15, 23, 29, 33, 49, 91])
     def test_cycle_consistent_with_exact_terms(self, w):
         profile = residue_profile(w)
         terms = chain_terms(2, 3 * profile.period)
         for n, t in enumerate(terms, start=1):
             assert profile.cycle[(n - 1) % profile.period] == t % w
 
-    def test_every_admissible_modulus_ends_within_phi_squared(self):
-        # The reason residue_profile needs no step budget: without 3 | w
-        # the step permutes pairs of units, so (1, 1) recurs within
-        # phi(w)**2 steps; with 3 | w, t_3 = 3 is a non-unit.
-        for w in range(2, 601):
-            primes = [p for p in range(2, w + 1)
-                      if w % p == 0 and all(p % d for d in range(2, p))]
-            if any(p % 3 == 1 for p in primes):
-                continue
-            if w % 3 == 0:
-                with pytest.raises(NonUnitResidue):
-                    residue_profile(w)
-            else:
-                phi = sum(1 for k in range(1, w + 1) if math.gcd(k, w) == 1)
-                assert residue_profile(w).period <= phi**2, w
+    def test_every_modulus_ends_within_w_squared(self):
+        # The reason residue_profile needs no step budget: the step is a
+        # bijection on the w^2 pairs mod w, so (1, 1) recurs within w^2
+        # steps.  The cycle is the exact chain mod w, and the two terms
+        # after it are 1, 1 again.
+        profiles = [residue_profile(w) for w in range(2, 601)]
+        terms = chain_terms(2, max(p.period for p in profiles) + 2)
+        for profile in profiles:
+            w, period = profile.modulus, profile.period
+            assert period <= w * w, w
+            assert profile.cycle == tuple(t % w for t in terms[:period]), w
+            assert (terms[period] % w, terms[period + 1] % w) == (1, 1), w
+            assert profile.palindromic is True, w
+
+    def test_gcd_law_holds_for_every_index(self):
+        # test_criterion_09_gcd_divides_three proves that a prime dividing
+        # g = gcd(sigma(t_n), sigma(t_{n+1})), sigma(x) = x^2+x+1, is 3 or
+        # 7 and that 9 never divides sigma(x).  One period mod 49 rules
+        # out 49 and one period mod 21 fixes g = gcd(g, 21) at every n,
+        # so the law 3^[n = 1 mod 3] * 7^[n = 8 mod 14] holds for all n.
+        def sigma(x):
+            return x * x + x + 1
+
+        mod49 = residue_profile(49).cycle
+        assert len(mod49) == 98
+        for i, a in enumerate(mod49):
+            b = mod49[(i + 1) % len(mod49)]
+            assert sigma(a) % 49 or sigma(b) % 49, i + 1
+
+        mod21 = residue_profile(21).cycle
+        assert len(mod21) == 42
+        for n in range(1, len(mod21) + 1):
+            a, b = mod21[n - 1], mod21[n % len(mod21)]
+            law = (3 if n % 3 == 1 else 1) * (7 if n % 14 == 8 else 1)
+            assert math.gcd(sigma(a), sigma(b), 21) == law, n
 
     def test_cycle_reproduces_on_second_period(self):
         profile = residue_profile(11)
