@@ -12,16 +12,21 @@ uninterrupted output byte for byte.
 Each pair (t_n, t_{n+1}) goes through four stages, cheapest first, and
 only a pair that passes one stage reaches the next:
 
-(a) Trial division of every term by the primes below 10**5 that can
-    divide a chain term.  A term t divides sigma(y^m) = 1 + y + ... + y^m
-    for its neighbour y.  If a prime p divides that sum and y = 1 (mod p),
-    the sum is m + 1 (mod p), so p | m + 1.  Otherwise y^(m+1) = 1 with
+(a) Trial division by the primes below 10**5 that can divide a chain
+    term.  A term t divides sigma(y^m) = 1 + y + ... + y^m for its
+    neighbour y.  If a prime p divides that sum and y = 1 (mod p), the
+    sum is m + 1 (mod p), so p | m + 1.  Otherwise y^(m+1) = 1 with
     y != 1 (mod p), so the order of y mod p is a divisor > 1 of both
     m + 1 and p - 1.  Only primes with p | m + 1 or gcd(p - 1, m + 1) > 1
     can divide a term: for m = 2 that is 3 and the primes = 1 (mod 3),
     about half the list.  The division is done by block gcd, one ``gcd``
     with the product of each block of 256 of these primes, as in
-    :func:`~sigmapairs.arith.is_prime`.
+    :func:`~sigmapairs.arith.is_prime`.  It is lazy: t_{n+1} is divided
+    first, and not at all when t_n has already failed, and t_n (if not
+    yet divided) only when t_{n+1} survives.  So a term is divided only
+    while a pair it belongs to can still be a candidate, and a term whose
+    neighbours both fail is never divided: to 1000 digits, the m = 2 walk
+    divides 924 of its 1471 terms.
 (b) Pairing: a pair is a candidate only when both terms survive (a).
 (c) A second trial-division tier on the terms of a candidate pair, t_n
     first: the admissible primes above 10**5 up to a bound B(x) that
@@ -31,21 +36,24 @@ only a pair that passes one stage reaches the next:
     sieved on first use and kept as one product per segment.
 (d) Confirmation: the full ``is_prime(x, rounds)``, first on t_n and
     then, if t_n is a probable prime, on t_{n+1}.  The verdicts in a
-    :class:`PairRecord` come from this call.  A pair whose t_n has at
-    least ``_POOL_MIN_DIGITS`` (500) digits is confirmed in a worker
-    process, forked at the first such pair, one worker per CPU the
-    search may run on; smaller pairs, and every pair on one CPU, where
-    ``fork`` is missing or while the caller runs other threads, are
-    confirmed in the searching process.
-    The walk, (a), (b) and (c) always run there, and go on while the
-    workers test.
+    :class:`PairRecord` come from this call.
+
+The walk, (a) and (b) run in the searching process.  So do (c) and (d)
+for a pair whose t_n has fewer than ``_POOL_MIN_DIGITS`` (500) digits.
+A larger pair goes to a worker process, which runs (c) and (d) on it;
+the pool is forked at the first such pair that clears (c) in the
+searching process, one worker per CPU the search may run on.  Every
+pair runs (c) and (d) in the searching process on one CPU, where
+``fork`` is missing or while the caller runs other threads.  The walk
+goes on while the workers test.
 
 Every stage rejects only composites, so the records equal those of a
 full test on every pair.  Each stage runs at most once per term, also
-across processes: a pair that shares its t_n with a pair still being
-confirmed waits for that pair's verdicts.  Records and checkpoint
-writes are settled in walk order, so they do not depend on which
-worker finishes first.
+across processes: a worker returns each term's outcomes, which are
+copied onto the searching process's terms, and a pair that shares its
+t_n with a pair still being confirmed waits for that pair's outcomes.
+Records and checkpoint writes are settled in walk order, so they do not
+depend on which worker finishes first.
 """
 
 from __future__ import annotations
@@ -281,7 +289,12 @@ class _Tier:
     """Stage (c): the admissible primes in (TRIAL_DIVISION_BOUND, B(x)],
     as one product per segment of ``_TIER_SEGMENT`` integers.  Segments
     are sieved on first demand and kept, so the tier reaches the largest
-    bound asked for so far and never sieves a segment twice."""
+    bound asked for so far and never sieves a segment twice in one
+    process.  A worker process divides with the segments it inherited
+    when it was forked, and sieves the rest itself; so the searching
+    process also sieves to B(x) for each pair it sends to a worker
+    (:meth:`sieve_to`), and the workers of its next search inherit those
+    segments."""
 
     __slots__ = ("_m", "_products")
 
@@ -289,20 +302,22 @@ class _Tier:
         self._m = m
         self._products: list[int] = []
 
-    def finds_factor(self, x: int) -> bool:
-        """Whether an admissible prime in (TRIAL_DIVISION_BOUND, B(x)]
-        divides ``x``; such a prime is a proper factor, as B(x) < x."""
-        bound = _tier_bound(x)
-        if bound == TRIAL_DIVISION_BOUND:
-            return False
-        assert bound < x
-        segments = (bound - TRIAL_DIVISION_BOUND) // _TIER_SEGMENT
+    def sieve_to(self, x: int) -> list[int]:
+        """The segment products up to B(x), sieving those not yet kept."""
+        segments = (_tier_bound(x) - TRIAL_DIVISION_BOUND) // _TIER_SEGMENT
         while len(self._products) < segments:
             low = TRIAL_DIVISION_BOUND + len(self._products) * _TIER_SEGMENT
             self._products.append(math.prod(
                 p for p in _sieve(low + _TIER_SEGMENT, low + 1) if _admissible(p, self._m)
             ))
-        return any(math.gcd(product, x) > 1 for product in self._products[:segments])
+        return self._products[:segments]
+
+    def finds_factor(self, x: int) -> bool:
+        """Whether an admissible prime in (TRIAL_DIVISION_BOUND, B(x)]
+        divides ``x``; such a prime is a proper factor, as B(x) < x."""
+        products = self.sieve_to(x)
+        assert not products or _tier_bound(x) < x
+        return any(math.gcd(product, x) > 1 for product in products)
 
 
 @functools.cache
@@ -311,53 +326,93 @@ def _tier(m: int) -> _Tier:
 
 
 class _Term:
-    """One chain term in the pipeline.  Stage (a) runs on construction;
-    stage (c) runs on demand and is cached, and ``verdict`` keeps the
-    stage (d) result once known, so a term passes each stage at most
-    once, also when it moves from ``curr`` to ``prev``."""
+    """One chain term in the pipeline.  Each stage runs on demand and
+    keeps its outcome, None until it has run: ``survives`` for stage
+    (a), the tier's outcome for stage (c) and ``verdict`` for stage (d).
+    So a term passes each stage at most once, also when it moves from
+    ``curr`` to ``prev``.  A worker runs stages (c) and (d) on copies of
+    a pair's terms and returns their outcomes, which
+    :meth:`_Confirmer.settle` copies onto the terms here."""
 
     __slots__ = ("value", "survives", "_clears_tier", "verdict")
 
-    def __init__(self, value: int, divisor: _BlockTrialDivisor):
+    def __init__(self, value: int):
         self.value = value
-        p = divisor.smallest_factor(value)
-        self.survives = p is None or p == value
+        self.survives: bool | None = None
         self._clears_tier: bool | None = None
         self.verdict: PrimalityVerdict | None = None
 
+    def trial_divide(self, divisor: _BlockTrialDivisor) -> bool:
+        """Stage (a): whether no listed prime is a proper factor."""
+        if self.survives is None:
+            p = divisor.smallest_factor(self.value)
+            self.survives = p is None or p == self.value
+        return self.survives
+
     def clears_tier(self, tier: _Tier) -> bool:
+        """Stage (c)."""
         if self._clears_tier is None:
             self._clears_tier = not tier.finds_factor(self.value)
         return self._clears_tier
 
     def test(self, rounds: int) -> PrimalityVerdict:
-        """Stage (d) in this process."""
+        """Stage (d)."""
         if self.verdict is None:
             self.verdict = is_prime(self.value, rounds)
         return self.verdict
 
+    @property
+    def is_probable_prime(self) -> bool:
+        return self.verdict is not None and self.verdict.is_probable_prime
 
-# Stage (d) runs in worker processes for a pair whose first term has at
-# least this many digits.  A search that starts the pool pays about
-# 26 ms for it: 14 ms to import multiprocessing (once per process),
+    @property
+    def known_composite(self) -> bool:
+        """Whether stage (c) or (d) has found this term composite."""
+        return self._clears_tier is False or (
+            self.verdict is not None and not self.verdict.is_probable_prime
+        )
+
+
+def _confirm(prev: _Term, curr: _Term, tier: _Tier, rounds: int) -> None:
+    """Stages (c) and (d) of the candidate pair (prev, curr), each on a
+    term only where its outcome is not yet known: the tier on prev and
+    then curr, then the full test of prev, and of curr when prev is a
+    probable prime."""
+    if (
+        prev.clears_tier(tier)
+        and curr.clears_tier(tier)
+        and prev.test(rounds).is_probable_prime
+    ):
+        curr.test(rounds)
+
+
+# Stages (c) and (d) run in worker processes for a pair whose first term
+# has at least this many digits.  A search that starts the pool pays
+# about 26 ms for it: 14 ms to import multiprocessing (once per process),
 # 10 ms to fork two workers and get a first result back, and 2 ms to end
 # them (medians of 9 starts, 2-vCPU VM, CPython 3.11.7).  One
-# Miller-Rabin round, the least that stage (d) spends on a pair, takes
-# 4.8 ms at 300 digits, 22 ms at 500, 51 ms at 700 and 145 ms at 1000.
-# A round outweighs the start-up from about 500 digits on, so a search
-# whose pairs are all smaller never starts the pool.  Workers are forked,
-# not spawned: they inherit the loaded package instead of importing it
-# again, so this one gate serves every search.  Fork needs a process
-# without threads; the package starts none, and the pool forks its
-# workers before it starts its own helper threads and joins those
+# Miller-Rabin round, the least that stage (d) spends on a pair that
+# clears the tier, takes 4.8 ms at 300 digits, 22 ms at 500, 51 ms at
+# 700 and 145 ms at 1000.  A round outweighs the start-up from about
+# 500 digits on, so a search whose pairs are all smaller never starts
+# the pool, and neither does one whose larger pairs all fall to the
+# tier: the pool starts at the first such pair that clears the tier in
+# the searching process.  After that, each of these pairs goes to a
+# worker as soon as it is a candidate, so the tier's segment gcds (about
+# a third of the searching process's work to 1000 digits) run beside the
+# walk instead of in it.  Workers are forked, not spawned: they inherit
+# the loaded package and the tier's segments instead of importing and
+# sieving again, so this one gate serves every search.  Fork needs a
+# process without threads; the package starts none, and the pool forks
+# its workers before it starts its own helper threads and joins those
 # threads when it ends.
 _POOL_MIN_DIGITS = 500
 _POOL_MIN = 10 ** (_POOL_MIN_DIGITS - 1)
 
 
 def _pool_size() -> int:
-    """Worker processes for stage (d): one per CPU this process may run
-    on, or 0 (stage (d) stays in this process) with one CPU, where
+    """Worker processes for stages (c) and (d): one per CPU this process
+    may run on, or 0 (they stay in this process) with one CPU, where
     ``fork`` or ``os.sched_getaffinity`` is missing, or where the caller
     runs other threads, which a fork could catch holding a lock."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
@@ -373,18 +428,18 @@ def _ignore_interrupts() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _confirm(
-    p: int, q: int, rounds: int
-) -> tuple[PrimalityVerdict, PrimalityVerdict | None]:
-    """Stage (d) of the pair (p, q) in a worker: q is tested only when p
-    is a probable prime."""
-    p_verdict = is_prime(p, rounds)
-    return p_verdict, is_prime(q, rounds) if p_verdict.is_probable_prime else None
+def _confirm_in_worker(
+    m: int, rounds: int, prev: _Term, curr: _Term
+) -> tuple[tuple[bool | None, PrimalityVerdict | None], ...]:
+    """:func:`_confirm` in a worker, on copies of the terms; returns each
+    term's tier outcome and verdict."""
+    _confirm(prev, curr, _tier(m), rounds)
+    return (prev._clears_tier, prev.verdict), (curr._clears_tier, curr.verdict)
 
 
 class _Pair:
-    """A candidate pair (t_index, t_{index+1}) in stage (d); ``job`` is
-    the pending result while a worker tests it."""
+    """A candidate pair (t_index, t_{index+1}) in stages (c) and (d);
+    ``job`` is the pending result while a worker confirms it."""
 
     __slots__ = ("index", "prev", "curr", "started", "settled", "job")
 
@@ -398,21 +453,25 @@ class _Pair:
 
 
 class _Confirmer:
-    """Stage (d), and the search's records and checkpoint writes in walk
-    order.
+    """Stages (c) and (d), and the search's records and checkpoint
+    writes in walk order.
 
     Candidate pairs and checkpoint states join one queue in walk order
-    and leave it from the front: a pair once its verdicts are known,
+    and leave it from the front: a pair once its outcomes are known,
     adding a record when both terms are probable primes, and a state by
     being written with the records found so far.  So each file holds
     exactly the records with index <= n - 2, and the files and records
     are those of a walk that confirmed every pair in place.
 
     A pair starts when it joins the queue, or, when it shares its first
-    term with a pair still in the queue, when it reaches the front.  A
-    pair whose first term is below ``_POOL_MIN`` or already tested is
-    confirmed in this process; the others go to the worker pool, forked
-    on first use and ended by :meth:`close`.
+    term with a pair still in the queue, when it reaches the front; it
+    stops there if that pair found the shared term composite.  A pair
+    whose first term is below ``_POOL_MIN`` runs (c) and (d) in this
+    process.  The others go to the worker pool, with whatever outcomes
+    their terms already have, once it runs: it is forked at the first of
+    them that clears the tier in this process, and ended by
+    :meth:`close`.  Until then, and where the pool cannot run, they too
+    are confirmed here.
     """
 
     def __init__(
@@ -422,6 +481,7 @@ class _Confirmer:
         self._m = m
         self._rounds = rounds
         self._path = checkpoint_path
+        self._tier = _tier(m)
         self._queue: collections.deque[_Pair | tuple[int, int, int]] = collections.deque()
         self._last: _Pair | None = None
         self._pool = None
@@ -451,12 +511,13 @@ class _Confirmer:
             else:
                 if not head.started:
                     self._start(head)
+                p, q = head.prev, head.curr
                 if head.job is not None:
                     if not (wait or head.job.ready()):
                         return
-                    head.prev.verdict, head.curr.verdict = head.job.get()
-                p, q = head.prev, head.curr
-                if p.verdict.is_probable_prime and q.verdict.is_probable_prime:
+                    outcomes = head.job.get()
+                    (p._clears_tier, p.verdict), (q._clears_tier, q.verdict) = outcomes
+                if p.is_probable_prime and q.is_probable_prime:
                     self.found.append(PairRecord(
                         m=self._m,
                         index=head.index,
@@ -478,17 +539,25 @@ class _Confirmer:
 
     def _start(self, pair: _Pair) -> None:
         pair.started = True
-        if pair.prev.verdict is None and pair.prev.value >= _POOL_MIN and self._pooled():
+        p, q = pair.prev, pair.curr
+        if p.known_composite:
+            return
+        if p.value >= _POOL_MIN and self._pooled(p, q):
             pair.job = self._pool.apply_async(
-                _confirm, (pair.prev.value, pair.curr.value, self._rounds)
+                _confirm_in_worker, (self._m, self._rounds, p, q)
             )
-        elif pair.prev.test(self._rounds).is_probable_prime:
-            pair.curr.test(self._rounds)
+            self._tier.sieve_to(q.value)
+        else:
+            _confirm(p, q, self._tier, self._rounds)
 
-    def _pooled(self) -> bool:
-        """Whether workers run stage (d); the pool is forked on the
-        first call."""
+    def _pooled(self, p: _Term, q: _Term) -> bool:
+        """Whether workers confirm the pair (p, q), whose first term is
+        at least ``_POOL_MIN``.  Until the pool is forked, the tier runs
+        here, and the pool is forked at the first such pair that clears
+        it."""
         if not self._pool_checked:
+            if not (p.clears_tier(self._tier) and q.clears_tier(self._tier)):
+                return False
             self._pool_checked = True
             workers = _pool_size()
             if workers:
@@ -559,8 +628,7 @@ def search_pairs(
         found = []
 
     divisor = _trial_divisor(m)
-    tier = _tier(m)
-    prev_term = _Term(prev, divisor)
+    prev_term = _Term(prev)
     confirmer = _Confirmer(m, rounds, checkpoint_path, found)
     steps = 0
     overflow = 10**digits_limit  # curr >= overflow means too many digits
@@ -575,12 +643,13 @@ def search_pairs(
             if done:
                 break
             confirmer.settle(wait=False)
-            curr_term = _Term(curr, divisor)
+            curr_term = _Term(curr)
+            # stages (a) and (b), lazily: curr first, and neither term
+            # once prev has failed
             if (
-                prev_term.survives
-                and curr_term.survives
-                and prev_term.clears_tier(tier)
-                and curr_term.clears_tier(tier)
+                prev_term.survives is not False
+                and curr_term.trial_divide(divisor)
+                and prev_term.trial_divide(divisor)
             ):
                 confirmer.add_pair(n - 1, prev_term, curr_term)
             # advance to the state holding (t_n, t_{n+1}); a step from a

@@ -222,7 +222,7 @@ class TestCandidatePipeline:
         state = ChainState(m=m, n=2, prev=seed[0], curr=seed[1])
         while state.curr < overflow:
             x = state.curr
-            survives = search._Term(x, divisor).survives
+            survives = search._Term(x).trial_divide(divisor)
             assert survives == all(x % p for p in primes if p < x), (m, seed, state.n)
             state = chain_next(state)
 
@@ -239,7 +239,7 @@ class TestCandidatePipeline:
         x = cofactor
         for pick in picks:
             x *= primes[pick % len(primes)]
-        survives = search._Term(x, search._trial_divisor(m)).survives
+        survives = search._Term(x).trial_divide(search._trial_divisor(m))
         assert survives == all(x % p for p in primes)
 
     @pytest.mark.parametrize("m, seed, digits", [
@@ -259,7 +259,7 @@ class TestCandidatePipeline:
         while state.curr < 10**digits:
             terms.append(state.curr)
             state = chain_next(state)
-        survives = [search._Term(x, divisor).survives for x in terms]
+        survives = [search._Term(x).trial_divide(divisor) for x in terms]
         checked = set()
         for i in range(1, len(terms)):
             if m > 2 or (survives[i - 1] and survives[i]):
@@ -297,19 +297,43 @@ class TestCandidatePipeline:
         for x, bound in zip(smallest, bounds):
             assert bound == TRIAL_DIVISION_BOUND or bound < x
 
-    def test_tier_runs_at_most_once_per_term(self, monkeypatch):
-        seen = []
-        finds_factor = search._Tier.finds_factor
-
-        def counting(tier, x):
-            if x > 1:  # t_1 = t_2 = 1; every later term is new
-                seen.append(x)
-            return finds_factor(tier, x)
-
-        monkeypatch.setattr(search._Tier, "finds_factor", counting)
+    def test_tier_runs_at_most_once_per_term(self, monkeypatch, tmp_path):
+        # the walk passes two pairs with 500 digits: the first starts the
+        # pool after its tier ran here, the second runs its tier in a worker
+        _forced_pool(monkeypatch, 2)
+        calls = _logged_tier(monkeypatch, tmp_path / "tier.log")
         search_pairs(2, digits_limit=600)
+        seen = [x for _, x in calls() if x > 1]  # t_1 = t_2 = 1; every later term is new
         assert any(search._tier_bound(x) > TRIAL_DIVISION_BOUND for x in seen)
+        assert {pid for pid, _ in calls()} - {os.getpid()}
         assert len(seen) == len(set(seen))
+
+    def test_stage_a_divides_only_terms_of_possible_candidates(self, monkeypatch):
+        # a term is divided while a pair it belongs to can still be a
+        # candidate, so a skipped term has two rejected neighbours; the
+        # last term walked belongs to one pair only
+        divided = []
+        trial_divide = search._Term.trial_divide
+
+        def recording(term, divisor):
+            if term.survives is None:  # not divided yet
+                divided.append(term.value)
+            return trial_divide(term, divisor)
+
+        monkeypatch.setattr(search._Term, "trial_divide", recording)
+        search_pairs(2, digits_limit=1000)
+        terms = [1, 1]
+        while terms[-1] < 10**1000:
+            terms.append(sigma_power(terms[-1], 2) // terms[-2])
+        walked = terms[:-1]  # the walk stops at the first term past the limit
+        assert len(divided) == len(set(divided)) + 1  # t_1 = t_2 = 1
+        assert set(divided) <= set(walked)
+        skipped = [k for k, x in enumerate(walked) if x not in divided]
+        assert 0 < len(skipped) < len(walked)
+        primes = search._trial_primes(2)
+        for k in skipped:
+            for x in walked[k - 1 : k + 2 : 2]:
+                assert any(x % p == 0 for p in primes if p < x), k
 
     def test_no_term_is_tested_twice(self, monkeypatch):
         # one primality call per term value, whatever its round count
@@ -333,6 +357,8 @@ _P1 = 2**2203 - 1  # 664 digits
 _P2 = 2**2281 - 1  # 687 digits
 _TD_COMPOSITE = 3 * _P1
 _MR_COMPOSITE = (2**607 - 1) * (2**1279 - 1)  # 569 digits
+# 669 digits, no factor below 10**5; the tier finds 100003 = 1 (mod 3)
+_TIER_COMPOSITE = 100003 * _P1
 _FEW_ROUNDS = 3
 
 
@@ -344,16 +370,14 @@ def _forced_pool(monkeypatch, workers):
     return asked
 
 
-def _logged_is_prime(monkeypatch, log_path):
-    """Patch the search's primality test to append 'pid value' to a file,
-    from this process and from the workers it forks afterwards."""
+def _pid_log(log_path):
+    """A function that appends 'pid value' to a file, from this process
+    and from the workers it forks afterwards, and one that reads the
+    (pid, value) pairs back."""
 
-    def logged(x, rounds=DEFAULT_ROUNDS):
+    def log(x):
         with open(log_path, "a", encoding="ascii") as handle:
             handle.write(f"{os.getpid()} {x}\n")
-        return is_prime(x, rounds)
-
-    monkeypatch.setattr(search, "is_prime", logged)
 
     def calls():
         if not os.path.exists(log_path):
@@ -361,18 +385,42 @@ def _logged_is_prime(monkeypatch, log_path):
         with open(log_path, encoding="ascii") as handle:
             return [tuple(map(int, line.split())) for line in handle]
 
+    return log, calls
+
+
+def _logged_is_prime(monkeypatch, log_path):
+    """Log each stage (d) call of the search (see ``_pid_log``)."""
+    log, calls = _pid_log(log_path)
+
+    def logged(x, rounds=DEFAULT_ROUNDS):
+        log(x)
+        return is_prime(x, rounds)
+
+    monkeypatch.setattr(search, "is_prime", logged)
+    return calls
+
+
+def _logged_tier(monkeypatch, log_path):
+    """Log each stage (c) call of the search (see ``_pid_log``)."""
+    log, calls = _pid_log(log_path)
+    finds_factor = search._Tier.finds_factor
+
+    def logged(tier, x):
+        log(x)
+        return finds_factor(tier, x)
+
+    monkeypatch.setattr(search._Tier, "finds_factor", logged)
     return calls
 
 
 def _confirm_walk(monkeypatch, terms, indices):
-    """Stage (d) of the pairs (terms[i], terms[i + 1]) for i in ``indices``,
-    at chain index i + 1, as a walk queues them: the state at n = i + 2
-    before each pair, and one more state at the end.  Returns the records
-    and the states written."""
+    """Stages (c) and (d) of the pairs (terms[i], terms[i + 1]) for i in
+    ``indices``, at chain index i + 1, as a walk queues them: the state at
+    n = i + 2 before each pair, and one more state at the end.  Returns
+    the records and the states written."""
     states = []
     monkeypatch.setattr(search, "write_checkpoint", lambda _, state: states.append(state))
-    divisor = search._trial_divisor(2)
-    term_objects = [search._Term(x, divisor) for x in terms]
+    term_objects = [search._Term(x) for x in terms]
     confirmer = search._Confirmer(2, _FEW_ROUNDS, "unused", [])
     try:
         for i in indices:
@@ -395,6 +443,9 @@ class TestPooledConfirmation:
         # pairs apart from each other: (prime, composite) and (composite, .)
         ([_P1, _MR_COMPOSITE, 7, _TD_COMPOSITE, _P2], [0, 3]),
         ([_P2, _TD_COMPOSITE, 7, _MR_COMPOSITE, _P1], [0, 3]),
+        # (prime, prime), then (prime, composite) that the tier rejects,
+        # then (composite, .) sharing that composite
+        ([_P2, _P1, _TIER_COMPOSITE, _MR_COMPOSITE], [0, 1, 2]),
     ])
     def test_pooled_pairs_equal_in_process_pairs(
         self, monkeypatch, tmp_path, terms, indices
@@ -423,6 +474,32 @@ class TestPooledConfirmation:
         for record in pooled:
             assert record.p_verdict == is_prime(record.p, _FEW_ROUNDS)
             assert record.q_verdict == is_prime(record.q, _FEW_ROUNDS)
+
+    def test_a_worker_rejects_at_the_tier(self, monkeypatch, tmp_path):
+        # the first pair clears the tier here and starts the pool; the
+        # second waits for it and then goes to a worker, which finds the
+        # tier factor of its second term; the third pair shares that term
+        # and never starts
+        asked = _forced_pool(monkeypatch, 2)
+        tier_calls = _logged_tier(monkeypatch, tmp_path / "tier.log")
+        prime_calls = _logged_is_prime(monkeypatch, tmp_path / "prime.log")
+        log, started = _pid_log(tmp_path / "started.log")
+        confirm = search._confirm
+
+        def logged_confirm(prev, curr, tier, rounds):
+            log(prev.value)
+            confirm(prev, curr, tier, rounds)
+
+        monkeypatch.setattr(search, "_confirm", logged_confirm)
+        terms = [_P2, _P1, _TIER_COMPOSITE, _MR_COMPOSITE]
+        found, _ = _confirm_walk(monkeypatch, terms, [0, 1, 2])
+        assert asked == [2]
+        assert sorted(x for _, x in started()) == sorted([_P1, _P2])
+        assert [(r.index, r.p, r.q) for r in found] == [(1, _P2, _P1)]
+        me = os.getpid()
+        assert sorted(x for pid, x in tier_calls() if pid == me) == sorted([_P1, _P2])
+        assert [x for pid, x in tier_calls() if pid != me] == [_TIER_COMPOSITE]
+        assert sorted(x for _, x in prime_calls()) == sorted([_P1, _P2])
 
     def test_states_wait_for_the_pairs_before_them(self, monkeypatch):
         # a record found by a worker lands in every state after its pair
@@ -490,9 +567,23 @@ class TestPooledConfirmation:
         search_pairs(2, digits_limit=500)
         assert asked == []
 
+    def test_no_pool_when_the_large_pairs_fall_to_the_tier(self, monkeypatch, tmp_path):
+        # from n = 1000 (t_1000 has 679 digits) to 800 digits the only
+        # candidate pair is at index 1066, and the tier finds a factor of
+        # its second term in this process
+        asked = _forced_pool(monkeypatch, 2)
+        calls = _logged_tier(monkeypatch, tmp_path / "tier.log")
+        terms = chain_terms(2, 1067)
+        start = SearchCheckpoint(m=2, n=1000, prev=terms[998], curr=terms[999], found=())
+        assert search_pairs(2, checkpoint=start, digits_limit=800) == []
+        assert [x for _, x in calls()] == terms[1065:]
+        assert terms[1065] >= search._POOL_MIN
+        assert search._tier(2).finds_factor(terms[1066])
+        assert asked == []
 
-# A 700-digit walk confirms the pairs at these indices in the pool (their
-# first terms have 502 to 639 digits) and all others in process.
+
+# A 700-digit walk sends the pairs at these indices to the pool (their
+# first terms have 502 to 639 digits) and confirms all others in process.
 _POOLED_700 = (739, 862, 901, 910, 940)
 
 
