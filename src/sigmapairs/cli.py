@@ -310,7 +310,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--only", default=None, choices=sorted(oracles.ORACLES),
                    help="single lemma id")
     p.add_argument("--bound", type=int, default=None,
-                   help="override each oracle's default bound")
+                   help="override each oracle's default bound; gcd reads "
+                        "it as a number of chain terms and needs at least 4")
     p.set_defaults(func=_cmd_lemmas)
 
     p = add("certify", "exact-rational inequality certificates")

@@ -295,8 +295,9 @@ def oracle_u_classification(bound: int) -> OracleReport:
 def oracle_sigma33_breakdown(bound: int) -> OracleReport:
     """Every sigma_{3,3} prime pair (p, q) <= bound falls into one of
     four cases given by sigma(x^3) = (x+1)(x^2+1): a sigma_{1,1} pair,
-    mutual x^2+1 divisibility, or the two mixed orientations.
-    Witnesses are pairs escaping all four cases."""
+    mutual x^2+1 divisibility, or the two mixed orientations.  By
+    construction no pair escapes all four to be a witness: the prime q
+    divides p+1 or p^2+1, and likewise p divides q+1 or q^2+1."""
     primes = _primes_up_to(bound)
     witnesses = []
     for p in primes:

@@ -50,8 +50,10 @@ goes on while the workers test.
 Every stage rejects only composites, so the records equal those of a
 full test on every pair.  Each stage runs at most once per term, also
 across processes: a worker returns each term's outcomes, which are
-copied onto the searching process's terms, and a pair that shares its
-t_n with a pair still being confirmed waits for that pair's outcomes.
+copied onto the searching process's terms, and a pair whose t_n is the
+second term of the latest pair sent to a worker waits for them.  On the
+m = 2 chain no pair waits: 3 | t_n exactly when 3 | n, and 3 is on the
+list of (a), so no two candidate pairs after index 4 share a term.
 Records and checkpoint writes are settled in walk order, so they do not
 depend on which worker finishes first.
 """
@@ -441,14 +443,12 @@ class _Pair:
     """A candidate pair (t_index, t_{index+1}) in stages (c) and (d);
     ``job`` is the pending result while a worker confirms it."""
 
-    __slots__ = ("index", "prev", "curr", "started", "settled", "job")
+    __slots__ = ("index", "prev", "curr", "job")
 
     def __init__(self, index: int, prev: _Term, curr: _Term):
         self.index = index
         self.prev = prev
         self.curr = curr
-        self.started = False
-        self.settled = False
         self.job = None
 
 
@@ -463,15 +463,15 @@ class _Confirmer:
     exactly the records with index <= n - 2, and the files and records
     are those of a walk that confirmed every pair in place.
 
-    A pair starts when it joins the queue, or, when it shares its first
-    term with a pair still in the queue, when it reaches the front; it
-    stops there if that pair found the shared term composite.  A pair
-    whose first term is below ``_POOL_MIN`` runs (c) and (d) in this
-    process.  The others go to the worker pool, with whatever outcomes
-    their terms already have, once it runs: it is forked at the first of
-    them that clears the tier in this process, and ended by
-    :meth:`close`.  Until then, and where the pool cannot run, they too
-    are confirmed here.
+    A pair starts when it joins the queue, after settling the whole
+    queue if its first term is the second term of the latest pair sent
+    to the pool (never, on the m = 2 chain: see the module docstring).
+    It stops there if its first term is known composite.  A pair whose
+    first term is below ``_POOL_MIN`` runs (c) and (d) in this process.
+    The others go to the worker pool, with whatever outcomes their terms
+    already have, once it runs: it is forked at the first of them that
+    clears the tier in this process, and ended by :meth:`close`.  Until
+    then, and where the pool cannot run, they too are confirmed here.
     """
 
     def __init__(
@@ -483,7 +483,7 @@ class _Confirmer:
         self._path = checkpoint_path
         self._tier = _tier(m)
         self._queue: collections.deque[_Pair | tuple[int, int, int]] = collections.deque()
-        self._last: _Pair | None = None
+        self._awaited: _Term | None = None
         self._pool = None
         self._pool_checked = False
 
@@ -491,12 +491,20 @@ class _Confirmer:
         self._queue.append((n, prev, curr))
 
     def add_pair(self, index: int, prev: _Term, curr: _Term) -> None:
+        if prev is self._awaited:
+            self.settle(wait=True)
         pair = _Pair(index, prev, curr)
-        last = self._last
-        if last is None or last.curr is not prev or last.settled:
-            self._start(pair)
         self._queue.append(pair)
-        self._last = pair
+        if prev.known_composite:
+            return
+        if prev.value >= _POOL_MIN and self._pooled(prev, curr):
+            pair.job = self._pool.apply_async(
+                _confirm_in_worker, (self._m, self._rounds, prev, curr)
+            )
+            self._awaited = curr
+            self._tier.sieve_to(curr.value)
+        else:
+            _confirm(prev, curr, self._tier, self._rounds)
 
     def settle(self, wait: bool) -> None:
         """Take the settled entries off the front of the queue; with
@@ -509,8 +517,6 @@ class _Confirmer:
                     m=self._m, n=n, prev=prev, curr=curr, found=tuple(self.found)
                 ))
             else:
-                if not head.started:
-                    self._start(head)
                 p, q = head.prev, head.curr
                 if head.job is not None:
                     if not (wait or head.job.ready()):
@@ -527,7 +533,6 @@ class _Confirmer:
                         q_verdict=q.verdict,
                         digits_q=decimal_digits(q.value),
                     ))
-                head.settled = True
             self._queue.popleft()
 
     def close(self) -> None:
@@ -536,19 +541,6 @@ class _Confirmer:
             self._pool.terminate()
             self._pool.join()
             self._pool = None
-
-    def _start(self, pair: _Pair) -> None:
-        pair.started = True
-        p, q = pair.prev, pair.curr
-        if p.known_composite:
-            return
-        if p.value >= _POOL_MIN and self._pooled(p, q):
-            pair.job = self._pool.apply_async(
-                _confirm_in_worker, (self._m, self._rounds, p, q)
-            )
-            self._tier.sieve_to(q.value)
-        else:
-            _confirm(p, q, self._tier, self._rounds)
 
     def _pooled(self, p: _Term, q: _Term) -> bool:
         """Whether workers confirm the pair (p, q), whose first term is

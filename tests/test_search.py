@@ -3,9 +3,11 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import threading
+import types
 
 import pytest
 from hypothesis import example, given, settings
@@ -434,6 +436,58 @@ def _confirm_walk(monkeypatch, terms, indices):
     return confirmer.found, states
 
 
+@functools.cache
+def _cached_is_prime(x, rounds=DEFAULT_ROUNDS):
+    return is_prime(x, rounds)
+
+
+class _ScheduledJob:
+    def __init__(self, result, delay):
+        self._result = result
+        self._delay = delay
+
+    def ready(self):
+        self._delay -= 1
+        return self._delay < 0
+
+    def get(self):
+        return self._result
+
+
+class _ScheduledPool:
+    """The fork pool's stand-in, in this process: ``apply_async`` runs the
+    function at once on pickled copies of its arguments and returns a
+    pickled copy of its result, as the pipes to a worker would.  The k-th
+    job answers ``ready()`` with False the first ``delays[k]`` times (none
+    once the delays run out), so the jobs finish in the order they give."""
+
+    def __init__(self, delays):
+        self._delays = iter(delays)
+
+    def apply_async(self, func, args):
+        result = func(*pickle.loads(pickle.dumps(args)))
+        return _ScheduledJob(pickle.loads(pickle.dumps(result)), next(self._delays, 0))
+
+    def terminate(self):
+        pass
+
+    def join(self):
+        pass
+
+
+_POOLED_TERMS = (_P1, _P2, _TD_COMPOSITE, _MR_COMPOSITE, _TIER_COMPOSITE)
+
+
+@st.composite
+def _scheduled_walks(draw):
+    """The terms of ``_POOLED_TERMS`` in some order, the indices of the
+    pairs among them that the walk confirms (consecutive indices share a
+    term) and the delays of the pooled jobs."""
+    terms = draw(st.permutations(_POOLED_TERMS))
+    indices = sorted(draw(st.sets(st.integers(0, len(terms) - 2), min_size=1)))
+    return terms, indices, draw(st.lists(st.integers(0, 3), max_size=4))
+
+
 class TestPooledConfirmation:
     @pytest.mark.parametrize("terms, indices", [
         # (composite, .), then (prime, prime) sharing its first term, then
@@ -509,6 +563,46 @@ class TestPooledConfirmation:
         found, states = _confirm_walk(monkeypatch, terms, [0, 1, 2])
         assert [(r.index, r.p, r.q) for r in found] == [(2, _P1, _P2)]
         assert [(s.n, len(s.found)) for s in states] == [(2, 0), (3, 0), (4, 1), (5, 1)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(walk=_scheduled_walks())
+    @example(walk=(list(_POOLED_TERMS), [0, 1, 2, 3], [3, 3, 3, 3]))
+    @example(walk=([_P2, _P1, _TIER_COMPOSITE, _MR_COMPOSITE, _TD_COMPOSITE],
+                   [0, 1, 2], []))
+    # the record of the first pair arrives after the second pair starts
+    @example(walk=([_P1, _P2, _MR_COMPOSITE, _TD_COMPOSITE, _TIER_COMPOSITE], [0, 2], [3]))
+    def test_any_finish_order_settles_in_walk_order(self, walk):
+        terms, indices, delays = walk
+
+        def run(workers, pool):
+            # each pair as it joins the queue, with whether its first term
+            # is then known composite; each _confirm call; each is_prime call
+            calls = {"pair": [], "confirm": [], "is_prime": []}
+            with pytest.MonkeyPatch.context() as mp:
+                _forced_pool(mp, workers)
+                mp.setattr(multiprocessing, "get_context", lambda method: (
+                    types.SimpleNamespace(Pool=lambda processes, initializer: pool)))
+                mp.setattr(search, "is_prime", lambda x, rounds=DEFAULT_ROUNDS: (
+                    calls["is_prime"].append(x), _cached_is_prime(x, rounds))[1])
+                pair, confirm = search._Pair, search._confirm
+                mp.setattr(search, "_Pair", lambda index, prev, curr: (
+                    calls["pair"].append((prev.value, curr.value, prev.known_composite)),
+                    pair(index, prev, curr))[1])
+                mp.setattr(search, "_confirm", lambda prev, curr, tier, rounds: (
+                    calls["confirm"].append((prev.value, curr.value)),
+                    confirm(prev, curr, tier, rounds)))
+                found, states = _confirm_walk(mp, terms, indices)
+            return found, states, calls
+
+        serial, serial_states, serial_calls = run(0, None)
+        pooled, states, calls = run(2, _ScheduledPool(delays))
+        assert pooled == serial
+        assert states == serial_states
+        assert calls == serial_calls
+        assert len(calls["is_prime"]) == len(set(calls["is_prime"]))
+        # a pair after a known-composite shared term never reaches _confirm
+        for p, q, known_composite in calls["pair"]:
+            assert not (known_composite and (p, q) in calls["confirm"])
 
     def test_small_searches_import_no_process_modules(self):
         # the pool's modules are imported with the pool, and these
@@ -625,6 +719,12 @@ class TestResumeAcrossThePool:
         records = search_pairs(2, digits_limit=700, checkpoint_path=path, checkpoint_every=5)
         assert asked == [2]
         assert [i for i, x in pairs if x >= search._POOL_MIN] == list(_POOLED_700)
+        # 3 | t_n exactly when 3 | n, and 3 is in _trial_primes(2), so of
+        # three consecutive terms past t_3 = 3 one fails stage (a): no
+        # two candidate pairs after index 4 share a term, and no pair
+        # ever waits for a worker
+        late = [i for i, _ in pairs if i > 4]
+        assert all(j - i > 1 for i, j in zip(late, late[1:]))
         assert records == serial_records
         assert states == serial_states
         assert [s.n for s in states] == sorted({s.n for s in states})
