@@ -156,21 +156,18 @@ _LOG2_3_FLOOR = int(
     "0609248221420839506216982994936575922385852344415825363027476853"
     "0697805"
 )
-_POWERING_DENOMINATOR_LIMIT = 2**16
 
 
 def _compare_with_log2_3(threshold: Fraction) -> int:
     """Exact sign of log2(3) - threshold for a positive rational.
 
-    Small denominators are settled by integer powering (3**q against
-    2**p).  Larger ones are cross-multiplied against the 200-digit
-    bracket; a rational would need to agree with log2(3) to 200 places
-    to fall inside, far beyond what multiplier arithmetic on sane
-    inequality systems can produce.
+    The threshold is cross-multiplied against the 200-digit bracket; a
+    rational would need to agree with log2(3) to 200 places to fall
+    inside, far beyond what multiplier arithmetic on sane inequality
+    systems can produce.  No rational with a denominator up to 2**16
+    falls inside.
     """
     p, q = threshold.numerator, threshold.denominator
-    if q <= _POWERING_DENOMINATOR_LIMIT:
-        return 1 if 3**q > 2**p else -1  # 3**q == 2**p is impossible
     if p * _LOG2_3_SCALE < _LOG2_3_FLOOR * q:
         return 1
     if p * _LOG2_3_SCALE > (_LOG2_3_FLOOR + 1) * q:

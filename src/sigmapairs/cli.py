@@ -8,7 +8,8 @@ numbers, so 4000-digit values survive any parser; exact rationals are
 rendered as ``p/q`` strings.
 
 Exit status: 0 success, 2 precondition violation, 3 oracle disagreement
-or checkpoint corruption, 64 usage error.
+or checkpoint corruption, 64 usage error; 143 when SIGTERM ends a search
+that has started its worker processes.
 """
 
 from __future__ import annotations

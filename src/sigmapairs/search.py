@@ -190,6 +190,8 @@ def load_checkpoint(path: str, rounds: int = DEFAULT_ROUNDS) -> SearchCheckpoint
             index, p, q = int(parts[1]), int(parts[2]), int(parts[3])
         except ValueError as exc:
             raise CheckpointFormatError(f"bad integer on line {line_no}") from exc
+        if min(p, q) < 1:  # before is_prime, which needs nonnegative terms
+            raise CheckpointMismatch(f"recorded pair on line {line_no} has a term below 1")
         found.append(
             PairRecord(
                 m=m,
@@ -212,7 +214,8 @@ def _validate_checkpoint(checkpoint: SearchCheckpoint) -> None:
         raise CheckpointMismatch(
             f"invalid position m={checkpoint.m}, n={checkpoint.n}"
         )
-    if checkpoint.prev < 1 or checkpoint.curr < 1:
+    members = [x for record in checkpoint.found for x in (record.p, record.q)]
+    if min(checkpoint.prev, checkpoint.curr, *members) < 1:
         raise CheckpointMismatch("chain terms must be positive")
     if not is_quasisolution(checkpoint.prev, checkpoint.curr, checkpoint.m):
         raise CheckpointMismatch(
@@ -278,53 +281,35 @@ _TIER_SEGMENT = 2**15
 _DIGITS_PER_BIT = math.log10(2)
 
 
+def _tier_segments(x: int) -> int:
+    """The number of stage (c) segments below B(x)."""
+    digits = x.bit_length() * _DIGITS_PER_BIT
+    target = _TIER_B_AT_1000_DIGITS * (digits / 1000) ** _TIER_B_EXPONENT
+    return max(0, math.ceil((target - TRIAL_DIVISION_BOUND) / _TIER_SEGMENT))
+
+
 def _tier_bound(x: int) -> int:
     """B(x): the schedule above, rounded up to whole segments past the
     stage (a) bound, which it equals where the tier does not run."""
-    digits = x.bit_length() * _DIGITS_PER_BIT
-    target = _TIER_B_AT_1000_DIGITS * (digits / 1000) ** _TIER_B_EXPONENT
-    segments = max(0, math.ceil((target - TRIAL_DIVISION_BOUND) / _TIER_SEGMENT))
-    return TRIAL_DIVISION_BOUND + segments * _TIER_SEGMENT
-
-
-class _Tier:
-    """Stage (c): the admissible primes in (TRIAL_DIVISION_BOUND, B(x)],
-    as one product per segment of ``_TIER_SEGMENT`` integers.  Segments
-    are sieved on first demand and kept, so the tier reaches the largest
-    bound asked for so far and never sieves a segment twice in one
-    process.  A worker process divides with the segments it inherited
-    when it was forked, and sieves the rest itself; so the searching
-    process also sieves to B(x) for each pair it sends to a worker
-    (:meth:`sieve_to`), and the workers of its next search inherit those
-    segments."""
-
-    __slots__ = ("_m", "_products")
-
-    def __init__(self, m: int):
-        self._m = m
-        self._products: list[int] = []
-
-    def sieve_to(self, x: int) -> list[int]:
-        """The segment products up to B(x), sieving those not yet kept."""
-        segments = (_tier_bound(x) - TRIAL_DIVISION_BOUND) // _TIER_SEGMENT
-        while len(self._products) < segments:
-            low = TRIAL_DIVISION_BOUND + len(self._products) * _TIER_SEGMENT
-            self._products.append(math.prod(
-                p for p in _sieve(low + _TIER_SEGMENT, low + 1) if _admissible(p, self._m)
-            ))
-        return self._products[:segments]
-
-    def finds_factor(self, x: int) -> bool:
-        """Whether an admissible prime in (TRIAL_DIVISION_BOUND, B(x)]
-        divides ``x``; such a prime is a proper factor, as B(x) < x."""
-        products = self.sieve_to(x)
-        assert not products or _tier_bound(x) < x
-        return any(math.gcd(product, x) > 1 for product in products)
+    return TRIAL_DIVISION_BOUND + _tier_segments(x) * _TIER_SEGMENT
 
 
 @functools.cache
-def _tier(m: int) -> _Tier:
-    return _Tier(m)
+def _segment_product(m: int, k: int) -> int:
+    """The product of the admissible primes in segment k of stage (c), the
+    k-th run of ``_TIER_SEGMENT`` integers past the stage (a) bound.  A
+    forked worker inherits the products kept before the fork."""
+    low = TRIAL_DIVISION_BOUND + k * _TIER_SEGMENT
+    return math.prod(p for p in _sieve(low + _TIER_SEGMENT, low + 1) if _admissible(p, m))
+
+
+def _tier_finds_factor(m: int, x: int) -> bool:
+    """Stage (c): whether an admissible prime in (TRIAL_DIVISION_BOUND,
+    B(x)] divides ``x``, by one ``gcd`` per segment up to the first hit;
+    such a prime is a proper factor, as B(x) < x."""
+    segments = _tier_segments(x)
+    assert not segments or _tier_bound(x) < x
+    return any(math.gcd(_segment_product(m, k), x) > 1 for k in range(segments))
 
 
 class _Term:
@@ -344,17 +329,17 @@ class _Term:
         self._clears_tier: bool | None = None
         self.verdict: PrimalityVerdict | None = None
 
-    def trial_divide(self, divisor: _BlockTrialDivisor) -> bool:
+    def trial_divide(self, m: int) -> bool:
         """Stage (a): whether no listed prime is a proper factor."""
         if self.survives is None:
-            p = divisor.smallest_factor(self.value)
+            p = _trial_divisor(m).smallest_factor(self.value)
             self.survives = p is None or p == self.value
         return self.survives
 
-    def clears_tier(self, tier: _Tier) -> bool:
+    def clears_tier(self, m: int) -> bool:
         """Stage (c)."""
         if self._clears_tier is None:
-            self._clears_tier = not tier.finds_factor(self.value)
+            self._clears_tier = not _tier_finds_factor(m, self.value)
         return self._clears_tier
 
     def test(self, rounds: int) -> PrimalityVerdict:
@@ -375,14 +360,14 @@ class _Term:
         )
 
 
-def _confirm(prev: _Term, curr: _Term, tier: _Tier, rounds: int) -> None:
+def _confirm(prev: _Term, curr: _Term, m: int, rounds: int) -> None:
     """Stages (c) and (d) of the candidate pair (prev, curr), each on a
     term only where its outcome is not yet known: the tier on prev and
     then curr, then the full test of prev, and of curr when prev is a
     probable prime."""
     if (
-        prev.clears_tier(tier)
-        and curr.clears_tier(tier)
+        prev.clears_tier(m)
+        and curr.clears_tier(m)
         and prev.test(rounds).is_probable_prime
     ):
         curr.test(rounds)
@@ -416,7 +401,9 @@ def _pool_size() -> int:
     """Worker processes for stages (c) and (d): one per CPU this process
     may run on, or 0 (they stay in this process) with one CPU, where
     ``fork`` or ``os.sched_getaffinity`` is missing, or where the caller
-    runs other threads, which a fork could catch holding a lock."""
+    runs other threads, which a fork could catch holding a lock.  So the
+    pool runs only on the main thread, where its SIGTERM handler can be
+    set."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 0
     if threading.active_count() > 1:
@@ -426,8 +413,14 @@ def _pool_size() -> int:
 
 
 def _ignore_interrupts() -> None:
-    # a worker leaves an interrupt to the search, which ends the pool
+    # a worker leaves an interrupt to the search, and dies of the pool's SIGTERM
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def _exit_on_sigterm(signum, frame) -> None:
+    # SIGTERM, as from ``kill``, ends the search and its pool as Ctrl-C does
+    raise SystemExit(128 + signum)
 
 
 def _confirm_in_worker(
@@ -435,7 +428,7 @@ def _confirm_in_worker(
 ) -> tuple[tuple[bool | None, PrimalityVerdict | None], ...]:
     """:func:`_confirm` in a worker, on copies of the terms; returns each
     term's tier outcome and verdict."""
-    _confirm(prev, curr, _tier(m), rounds)
+    _confirm(prev, curr, m, rounds)
     return (prev._clears_tier, prev.verdict), (curr._clears_tier, curr.verdict)
 
 
@@ -481,11 +474,11 @@ class _Confirmer:
         self._m = m
         self._rounds = rounds
         self._path = checkpoint_path
-        self._tier = _tier(m)
         self._queue: collections.deque[_Pair | tuple[int, int, int]] = collections.deque()
         self._awaited: _Term | None = None
         self._pool = None
         self._pool_checked = False
+        self._sigterm = None
 
     def save(self, n: int, prev: int, curr: int) -> None:
         self._queue.append((n, prev, curr))
@@ -502,9 +495,15 @@ class _Confirmer:
                 _confirm_in_worker, (self._m, self._rounds, prev, curr)
             )
             self._awaited = curr
-            self._tier.sieve_to(curr.value)
+            # sieve the segments to B(curr) here too, so that the workers a
+            # later search in this process forks inherit them: perfbench's
+            # pair-search repeats its search, and without this loop its
+            # wall_s rose 16-18% (median of four alternating pairs 0.588 ->
+            # 0.688 s, 2-vCPU VM, CPython 3.11.7)
+            for k in range(_tier_segments(curr.value)):
+                _segment_product(self._m, k)
         else:
-            _confirm(prev, curr, self._tier, self._rounds)
+            _confirm(prev, curr, self._m, self._rounds)
 
     def settle(self, wait: bool) -> None:
         """Take the settled entries off the front of the queue; with
@@ -536,8 +535,9 @@ class _Confirmer:
             self._queue.popleft()
 
     def close(self) -> None:
-        """End the worker pool, if one was started."""
+        """End the worker pool and its SIGTERM handler, if one was started."""
         if self._pool is not None:
+            signal.signal(signal.SIGTERM, self._sigterm)
             self._pool.terminate()
             self._pool.join()
             self._pool = None
@@ -548,7 +548,7 @@ class _Confirmer:
         here, and the pool is forked at the first such pair that clears
         it."""
         if not self._pool_checked:
-            if not (p.clears_tier(self._tier) and q.clears_tier(self._tier)):
+            if not (p.clears_tier(self._m) and q.clears_tier(self._m)):
                 return False
             self._pool_checked = True
             workers = _pool_size()
@@ -558,6 +558,7 @@ class _Confirmer:
                 self._pool = multiprocessing.get_context("fork").Pool(
                     workers, initializer=_ignore_interrupts
                 )
+                self._sigterm = signal.signal(signal.SIGTERM, _exit_on_sigterm)
         return self._pool is not None
 
 
@@ -619,7 +620,6 @@ def search_pairs(
         n, prev, curr = 2, a, b
         found = []
 
-    divisor = _trial_divisor(m)
     prev_term = _Term(prev)
     confirmer = _Confirmer(m, rounds, checkpoint_path, found)
     steps = 0
@@ -640,8 +640,8 @@ def search_pairs(
             # once prev has failed
             if (
                 prev_term.survives is not False
-                and curr_term.trial_divide(divisor)
-                and prev_term.trial_divide(divisor)
+                and curr_term.trial_divide(m)
+                and prev_term.trial_divide(m)
             ):
                 confirmer.add_pair(n - 1, prev_term, curr_term)
             # advance to the state holding (t_n, t_{n+1}); a step from a

@@ -6,10 +6,33 @@ import multiprocessing
 import pytest
 
 from sigmapairs.cli import main as cli_main
+from sigmapairs.search import CheckpointFormatError, CheckpointMismatch
 
 KNOWN_PAIRS = ((3, 3, 13), (4, 13, 61), (22, 22419767768701, 107419560853453))
 
 FIRST_TERMS = [1, 1, 3, 13, 61, 291, 1393, 6673, 31971, 153181]
+
+_HEADER = "sigma-chain-checkpoint v1\n"
+_AT_5 = _HEADER + "m=2\nn=5\nprev=13\ncurr=61\n"
+
+# Checkpoint files that loading rejects, and the error it raises: each
+# breaks one rule of the format or of the chain.
+UNUSABLE_CHECKPOINTS = [
+    pytest.param(text, error, id=name) for name, text, error in [
+        ("missing-field", _HEADER + "m=2\nn=5\nprev=13\n", CheckpointFormatError),
+        ("misnamed-field", _HEADER + "m=2\nN=5\nprev=13\ncurr=61\n",
+         CheckpointFormatError),
+        ("short-pair-line", _AT_5 + "pair 3 3\n", CheckpointFormatError),
+        ("non-integer-pair-token", _AT_5 + "pair 3 three 13\n", CheckpointFormatError),
+        ("m-below-1", _HEADER + "m=0\nn=5\nprev=13\ncurr=61\n", CheckpointMismatch),
+        ("n-below-2", _HEADER + "m=2\nn=1\nprev=1\ncurr=1\n", CheckpointMismatch),
+        ("prev-below-1", _HEADER + "m=2\nn=5\nprev=0\ncurr=61\n", CheckpointMismatch),
+        ("curr-below-1", _HEADER + "m=2\nn=5\nprev=13\ncurr=-61\n", CheckpointMismatch),
+        ("pair-not-a-quasisolution", _AT_5 + "pair 3 4 13\n", CheckpointMismatch),
+        ("negative-pair-member", _AT_5 + "pair 3 -3 13\n", CheckpointMismatch),
+        ("zero-pair-member", _AT_5 + "pair 3 0 13\n", CheckpointMismatch),
+    ]
+]
 
 
 @pytest.fixture(autouse=True)

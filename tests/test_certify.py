@@ -208,6 +208,12 @@ class TestOptimize:
             assert 3**q > 2**p
             assert F(p, q) < lower < upper < F(p + 1, q)
 
+    def test_threshold_inside_the_bracket_is_refused(self):
+        from sigmapairs.certify import _LOG2_3_FLOOR, _LOG2_3_SCALE, _compare_with_log2_3
+
+        with pytest.raises(ValueError):
+            _compare_with_log2_3(F(_LOG2_3_FLOOR, _LOG2_3_SCALE))
+
     def test_huge_denominator_costs_are_compared_quickly(self):
         # beyond the powering cutoff the bracket comparison kicks in;
         # this used to explode exponentially in the denominator

@@ -13,7 +13,7 @@ import time
 import pytest
 
 import sigmapairs
-from conftest import json_doc, results_only
+from conftest import UNUSABLE_CHECKPOINTS, json_doc, results_only
 from sigmapairs import cli, search
 
 
@@ -122,6 +122,10 @@ class TestSearchCommand:
         code, _ = run_cli("search", "--m", "2", "--digits", "5", "--seed", "2,5")
         assert code == 2
 
+    def test_seed_of_three_terms_is_precondition_error(self, run_cli):
+        code, out = run_cli("search", "--m", "2", "--digits", "5", "--seed", "1,2,3")
+        assert (code, out) == (2, "")
+
     def test_zero_rounds_is_precondition_error(self, run_cli):
         code, _ = run_cli("search", "--m", "2", "--digits", "5", "--mr-rounds", "0")
         assert code == 2
@@ -177,6 +181,17 @@ class TestSearchCommand:
             "search", "--m", "2", "--digits", "20", "--checkpoint", str(path)
         )
         assert code == 3
+        assert capsys.readouterr().err.startswith("checkpoint error:")
+
+    @pytest.mark.parametrize("text, error", UNUSABLE_CHECKPOINTS)
+    def test_unusable_checkpoint_is_status_3(
+        self, run_cli, tmp_path, capsys, text, error
+    ):
+        path = tmp_path / "walk.ck"
+        path.write_text(text, encoding="ascii")
+        assert run_cli(
+            "search", "--m", "2", "--digits", "20", "--checkpoint", str(path)
+        ) == (3, "")
         assert capsys.readouterr().err.startswith("checkpoint error:")
 
 
@@ -557,6 +572,52 @@ class TestModuleEntryPoint:
         # below 10**1500 the walk finds only the three pairs below 10**20
         code, out = run_cli(
             "search", "--m", "2", "--digits", "1500", "--checkpoint", str(ck), "--json"
+        )
+        assert code == 0
+        assert results_only(out) == results_only(run_cli(
+            "search", "--m", "2", "--digits", "20", "--json")[1])
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="the search forks no workers on one CPU",
+    )
+    def test_sigterm_ends_the_pool_and_leaves_a_resumable_checkpoint(
+        self, run_cli, tmp_path
+    ):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        ck = tmp_path / "ck"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sigmapairs", "search", "--m", "2",
+             "--digits", "1500", "--checkpoint", str(ck)],
+            cwd=tmp_path, start_new_session=True, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        try:
+            # past the pair at index 739, the first one a worker confirms
+            def past_the_first_pooled_pair():
+                return ck.exists() and search.load_checkpoint(str(ck)).n > 741
+
+            deadline = time.monotonic() + 60
+            while (proc.poll() is None and time.monotonic() < deadline
+                   and not past_the_first_pooled_pair()):
+                time.sleep(0.01)
+            assert proc.poll() is None, "the search ended before it was signalled"
+            assert past_the_first_pooled_pair()
+            # to the searching process only, as `kill PID` does
+            os.kill(proc.pid, signal.SIGTERM)
+            stdout, stderr = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == 128 + signal.SIGTERM, stderr
+        assert (stdout, stderr) == ("", "")
+        # the workers ended with the search
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+        code, out = run_cli(
+            "search", "--m", "2", "--digits", "1000", "--checkpoint", str(ck), "--json"
         )
         assert code == 0
         assert results_only(out) == results_only(run_cli(

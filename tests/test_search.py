@@ -1,9 +1,11 @@
+import dataclasses
 import functools
 import json
 import math
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import threading
@@ -45,7 +47,7 @@ from sigmapairs.search import (
     write_checkpoint,
 )
 
-from conftest import KNOWN_PAIRS
+from conftest import KNOWN_PAIRS, UNUSABLE_CHECKPOINTS
 
 
 class TestSearchPairs:
@@ -219,12 +221,11 @@ class TestCandidatePipeline:
         # on every term of the chain: a term survives when no admissible
         # prime below it divides it
         primes = search._trial_primes(m)
-        divisor = search._trial_divisor(m)
         overflow = 10**digits
         state = ChainState(m=m, n=2, prev=seed[0], curr=seed[1])
         while state.curr < overflow:
             x = state.curr
-            survives = search._Term(x).trial_divide(divisor)
+            survives = search._Term(x).trial_divide(m)
             assert survives == all(x % p for p in primes if p < x), (m, seed, state.n)
             state = chain_next(state)
 
@@ -241,7 +242,7 @@ class TestCandidatePipeline:
         x = cofactor
         for pick in picks:
             x *= primes[pick % len(primes)]
-        survives = search._Term(x).trial_divide(search._trial_divisor(m))
+        survives = search._Term(x).trial_divide(m)
         assert survives == all(x % p for p in primes)
 
     @pytest.mark.parametrize("m, seed, digits", [
@@ -255,13 +256,12 @@ class TestCandidatePipeline:
         # of an m > 2 chain above the tier's start is a candidate, and
         # those chains pass these sizes in a few steps, so all their
         # terms are checked
-        divisor = search._trial_divisor(m)
         state = ChainState(m=m, n=2, prev=seed[0], curr=seed[1])
         terms = [state.prev]
         while state.curr < 10**digits:
             terms.append(state.curr)
             state = chain_next(state)
-        survives = [search._Term(x).trial_divide(divisor) for x in terms]
+        survives = [search._Term(x).trial_divide(m) for x in terms]
         checked = set()
         for i in range(1, len(terms)):
             if m > 2 or (survives[i - 1] and survives[i]):
@@ -270,9 +270,9 @@ class TestCandidatePipeline:
             x for x in checked if search._tier_bound(x) > TRIAL_DIVISION_BOUND
         )
         assert checked
-        tier = search._Tier(m)  # built from nothing, segment by segment
+        search._segment_product.cache_clear()  # built from nothing, segment by segment
         for x in checked:
-            assert tier.finds_factor(x) == _tier_reference(m, x), (m, seed, x)
+            assert search._tier_finds_factor(m, x) == _tier_reference(m, x), (m, seed, x)
 
     @given(
         m=st.sampled_from([2, 3, 4, 6]),
@@ -287,7 +287,7 @@ class TestCandidatePipeline:
         x = cofactor
         for pick in picks:
             x *= primes[pick % len(primes)]
-        assert search._tier(m).finds_factor(x) == _tier_reference(m, x)
+        assert search._tier_finds_factor(m, x) == _tier_reference(m, x)
 
     def test_tier_bound_grows_with_the_term_and_stays_below_it(self):
         # B depends on the bit length alone, so the least x of each bit
@@ -317,10 +317,10 @@ class TestCandidatePipeline:
         divided = []
         trial_divide = search._Term.trial_divide
 
-        def recording(term, divisor):
+        def recording(term, m):
             if term.survives is None:  # not divided yet
                 divided.append(term.value)
-            return trial_divide(term, divisor)
+            return trial_divide(term, m)
 
         monkeypatch.setattr(search._Term, "trial_divide", recording)
         search_pairs(2, digits_limit=1000)
@@ -405,13 +405,13 @@ def _logged_is_prime(monkeypatch, log_path):
 def _logged_tier(monkeypatch, log_path):
     """Log each stage (c) call of the search (see ``_pid_log``)."""
     log, calls = _pid_log(log_path)
-    finds_factor = search._Tier.finds_factor
+    finds_factor = search._tier_finds_factor
 
-    def logged(tier, x):
+    def logged(m, x):
         log(x)
-        return finds_factor(tier, x)
+        return finds_factor(m, x)
 
-    monkeypatch.setattr(search._Tier, "finds_factor", logged)
+    monkeypatch.setattr(search, "_tier_finds_factor", logged)
     return calls
 
 
@@ -540,9 +540,9 @@ class TestPooledConfirmation:
         log, started = _pid_log(tmp_path / "started.log")
         confirm = search._confirm
 
-        def logged_confirm(prev, curr, tier, rounds):
+        def logged_confirm(prev, curr, m, rounds):
             log(prev.value)
-            confirm(prev, curr, tier, rounds)
+            confirm(prev, curr, m, rounds)
 
         monkeypatch.setattr(search, "_confirm", logged_confirm)
         terms = [_P2, _P1, _TIER_COMPOSITE, _MR_COMPOSITE]
@@ -588,9 +588,9 @@ class TestPooledConfirmation:
                 mp.setattr(search, "_Pair", lambda index, prev, curr: (
                     calls["pair"].append((prev.value, curr.value, prev.known_composite)),
                     pair(index, prev, curr))[1])
-                mp.setattr(search, "_confirm", lambda prev, curr, tier, rounds: (
+                mp.setattr(search, "_confirm", lambda prev, curr, m, rounds: (
                     calls["confirm"].append((prev.value, curr.value)),
-                    confirm(prev, curr, tier, rounds)))
+                    confirm(prev, curr, m, rounds)))
                 found, states = _confirm_walk(mp, terms, indices)
             return found, states, calls
 
@@ -645,6 +645,33 @@ class TestPooledConfirmation:
         assert raised.traceback
         assert multiprocessing.active_children() == []
 
+    def test_pool_gives_sigterm_back_its_handler(self, monkeypatch):
+        asked = _forced_pool(monkeypatch, 2)
+
+        def own(signum, frame):
+            pass
+
+        previous = signal.signal(signal.SIGTERM, own)
+        try:
+            search_pairs(2, digits_limit=600)
+            assert signal.getsignal(signal.SIGTERM) is own
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert asked == [2]
+
+    def test_a_worker_takes_sigterm_as_default(self):
+        # also a worker forked after the search set its SIGTERM handler,
+        # as one that replaces a dead worker is, dies of terminate() at once
+        saved = signal.getsignal(signal.SIGINT), signal.getsignal(signal.SIGTERM)
+        try:
+            signal.signal(signal.SIGTERM, search._exit_on_sigterm)
+            search._ignore_interrupts()
+            assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+            assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+        finally:
+            signal.signal(signal.SIGINT, saved[0])
+            signal.signal(signal.SIGTERM, saved[1])
+
     def test_no_workers_while_other_threads_run(self):
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
@@ -672,7 +699,7 @@ class TestPooledConfirmation:
         assert search_pairs(2, checkpoint=start, digits_limit=800) == []
         assert [x for _, x in calls()] == terms[1065:]
         assert terms[1065] >= search._POOL_MIN
-        assert search._tier(2).finds_factor(terms[1066])
+        assert search._tier_finds_factor(2, terms[1066])
         assert asked == []
 
 
@@ -898,10 +925,31 @@ class TestCheckpoints:
         )
         assert resumed == base
 
+    @pytest.mark.parametrize("text, error", UNUSABLE_CHECKPOINTS)
+    def test_rejects_each_unusable_file(self, tmp_path, text, error):
+        path = tmp_path / "walk.ck"
+        path.write_text(text, encoding="ascii")
+        with pytest.raises(error):
+            load_checkpoint(str(path))
+
+    def test_rejects_a_pair_member_below_1_before_any_arithmetic(self):
+        # is_prime and is_quasisolution raise ValueError on such a term
+        record = search_pairs(2, digits_limit=2)[0]
+        for p, q in ((-3, 13), (0, 13), (3, -13)):
+            checkpoint = SearchCheckpoint(m=2, n=5, prev=13, curr=61, found=(
+                dataclasses.replace(record, p=p, q=q),
+            ))
+            with pytest.raises(CheckpointMismatch):
+                search_pairs(2, digits_limit=20, checkpoint=checkpoint)
+
     @given(
         garbage=st.one_of(st.text(max_size=300).map(str.encode), st.binary(max_size=300))
     )
     @example(garbage=b"sigma-chain-checkpoint v1\nm=2\nn=5\nprev=13\ncurr=61\xff\n")
+    @example(garbage=b"sigma-chain-checkpoint v1\nm=2\nn=5\nprev=13\ncurr=61\n"
+                     b"pair 3 -3 13\n")
+    @example(garbage=b"sigma-chain-checkpoint v1\nm=2\nn=5\nprev=13\ncurr=61\n"
+                     b"pair 3 0 13\n")
     @settings(max_examples=150)
     def test_parser_never_accepts_garbage_silently(self, tmp_path_factory, garbage):
         # arbitrary bytes, non-ASCII included, either parse to a validated
