@@ -154,7 +154,7 @@ class PrimalityVerdict:
 def decimal_digits(x: int) -> int:
     """Number of decimal digits of a nonnegative integer."""
     if x < 0:
-        raise ValueError(f"expected a nonnegative integer, got a negative one")
+        raise ValueError("expected a nonnegative integer, got a negative one")
     return len(str(x))
 
 

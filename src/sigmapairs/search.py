@@ -41,11 +41,12 @@ only a pair that passes one stage reaches the next:
 The walk, (a) and (b) run in the searching process.  So do (c) and (d)
 for a pair whose t_n has fewer than ``_POOL_MIN_DIGITS`` (500) digits.
 A larger pair goes to a worker process, which runs (c) and (d) on it;
-the pool is forked at the first such pair that clears (c) in the
-searching process, one worker per CPU the search may run on.  Every
-pair runs (c) and (d) in the searching process on one CPU, where
-``fork`` is missing or while the caller runs other threads.  The walk
-goes on while the workers test.
+the pool is forked at the first such pair, one worker per CPU the search
+may run on.  Just before the fork the searching process sieves (c) once,
+up to the bound of the largest term the walk can pair, so no worker
+sieves.  Every pair runs (c) and (d) in the searching process on one
+CPU, where ``fork`` is missing or while the caller runs other threads.
+The walk goes on while the workers test.
 
 Every stage rejects only composites, so the records equal those of a
 full test on every pair.  Each stage runs at most once per term, also
@@ -181,60 +182,51 @@ def load_checkpoint(path: str, rounds: int = DEFAULT_ROUNDS) -> SearchCheckpoint
     prev = _field(3, "prev")
     curr = _field(4, "curr")
 
-    found = []
+    pairs = []
     for line_no, line in enumerate(lines[5:], start=6):
         parts = line.split()
         if len(parts) != 4 or parts[0] != "pair":
             raise CheckpointFormatError(f"line {line_no} must be 'pair <index> <p> <q>'")
         try:
-            index, p, q = int(parts[1]), int(parts[2]), int(parts[3])
+            pairs.append((int(parts[1]), int(parts[2]), int(parts[3])))
         except ValueError as exc:
             raise CheckpointFormatError(f"bad integer on line {line_no}") from exc
-        if min(p, q) < 1:  # before is_prime, which needs nonnegative terms
-            raise CheckpointMismatch(f"recorded pair on line {line_no} has a term below 1")
-        found.append(
-            PairRecord(
-                m=m,
-                index=index,
-                p=p,
-                q=q,
-                p_verdict=is_prime(p, rounds),
-                q_verdict=is_prime(q, rounds),
-                digits_q=decimal_digits(q),
-            )
-        )
 
-    checkpoint = SearchCheckpoint(m=m, n=n, prev=prev, curr=curr, found=tuple(found))
-    _validate_checkpoint(checkpoint)
-    return checkpoint
+    _validate_checkpoint(m, n, prev, curr, pairs)  # before any primality test
+    found = tuple(
+        PairRecord(m, index, p, q, is_prime(p, rounds), is_prime(q, rounds),
+                   decimal_digits(q))
+        for index, p, q in pairs
+    )
+    _check_verdicts(found)
+    return SearchCheckpoint(m=m, n=n, prev=prev, curr=curr, found=found)
 
 
-def _validate_checkpoint(checkpoint: SearchCheckpoint) -> None:
-    if checkpoint.m < 1 or checkpoint.n < 2:
-        raise CheckpointMismatch(
-            f"invalid position m={checkpoint.m}, n={checkpoint.n}"
-        )
-    members = [x for record in checkpoint.found for x in (record.p, record.q)]
-    if min(checkpoint.prev, checkpoint.curr, *members) < 1:
+def _validate_checkpoint(m: int, n: int, prev: int, curr: int, pairs: list) -> None:
+    """The checks of a state and its recorded (index, p, q) pairs that
+    need no primality test."""
+    if m < 1 or n < 2:
+        raise CheckpointMismatch(f"invalid position m={m}, n={n}")
+    if min(prev, curr, *(x for _, p, q in pairs for x in (p, q))) < 1:
         raise CheckpointMismatch("chain terms must be positive")
-    if not is_quasisolution(checkpoint.prev, checkpoint.curr, checkpoint.m):
-        raise CheckpointMismatch(
-            f"({checkpoint.prev}, {checkpoint.curr}) is not a valid chain state"
-        )
+    if not is_quasisolution(prev, curr, m):
+        raise CheckpointMismatch(f"({prev}, {curr}) is not a valid chain state")
     last_index = 0
-    for record in checkpoint.found:
+    for index, p, q in pairs:
         # a walk records (t_k, t_{k+1}) and then steps past it, so the
         # indices strictly increase and stay in 1 .. n - 2
-        if not last_index < record.index <= checkpoint.n - 2:
+        if not last_index < index <= n - 2:
             raise CheckpointMismatch(
-                f"recorded pair index {record.index} is out of order or "
-                f"beyond the walk position n={checkpoint.n}"
+                f"recorded pair index {index} is out of order or "
+                f"beyond the walk position n={n}"
             )
-        last_index = record.index
-        if not is_quasisolution(record.p, record.q, checkpoint.m):
-            raise CheckpointMismatch(
-                f"recorded pair at index {record.index} is not a quasisolution"
-            )
+        last_index = index
+        if not is_quasisolution(p, q, m):
+            raise CheckpointMismatch(f"recorded pair at index {index} is not a quasisolution")
+
+
+def _check_verdicts(found: tuple[PairRecord, ...]) -> None:
+    for record in found:
         if not (record.p_verdict.is_probable_prime and record.q_verdict.is_probable_prime):
             raise CheckpointMismatch(
                 f"recorded pair at index {record.index} has a composite member"
@@ -382,17 +374,16 @@ def _confirm(prev: _Term, curr: _Term, m: int, rounds: int) -> None:
 # clears the tier, takes 4.8 ms at 300 digits, 22 ms at 500, 51 ms at
 # 700 and 145 ms at 1000.  A round outweighs the start-up from about
 # 500 digits on, so a search whose pairs are all smaller never starts
-# the pool, and neither does one whose larger pairs all fall to the
-# tier: the pool starts at the first such pair that clears the tier in
-# the searching process.  After that, each of these pairs goes to a
-# worker as soon as it is a candidate, so the tier's segment gcds (about
-# a third of the searching process's work to 1000 digits) run beside the
-# walk instead of in it.  Workers are forked, not spawned: they inherit
-# the loaded package and the tier's segments instead of importing and
-# sieving again, so this one gate serves every search.  Fork needs a
-# process without threads; the package starts none, and the pool forks
-# its workers before it starts its own helper threads and joins those
-# threads when it ends.
+# the pool, which forks at the first candidate pair past the gate.  Each
+# such pair goes to a worker as soon as it is a candidate, so the tier's
+# segment gcds (about a third of the searching process's work to 1000
+# digits) run beside the walk instead of in it.  Just before the fork
+# the searching process sieves every segment the walk can need, once.
+# Workers are forked, not spawned: they inherit the loaded package and
+# those segments instead of importing and sieving again, so this one
+# gate serves every search.  Fork needs a process without threads; the
+# package starts none, and the pool forks its workers before it starts
+# its own helper threads and joins those threads when it ends.
 _POOL_MIN_DIGITS = 500
 _POOL_MIN = 10 ** (_POOL_MIN_DIGITS - 1)
 
@@ -462,17 +453,20 @@ class _Confirmer:
     It stops there if its first term is known composite.  A pair whose
     first term is below ``_POOL_MIN`` runs (c) and (d) in this process.
     The others go to the worker pool, with whatever outcomes their terms
-    already have, once it runs: it is forked at the first of them that
-    clears the tier in this process, and ended by :meth:`close`.  Until
-    then, and where the pool cannot run, they too are confirmed here.
+    already have: it is forked at the first of them, after this process
+    has sieved (c) to B(reach), where ``reach`` bounds every term the walk
+    can pair, and it is ended by :meth:`close`.  Where the pool cannot
+    run, they too are confirmed here.
     """
 
     def __init__(
-        self, m: int, rounds: int, checkpoint_path: str | None, found: list[PairRecord]
+        self, m: int, rounds: int, checkpoint_path: str | None, found: list[PairRecord],
+        reach: int,
     ):
         self.found = found
         self._m = m
         self._rounds = rounds
+        self._reach = reach
         self._path = checkpoint_path
         self._queue: collections.deque[_Pair | tuple[int, int, int]] = collections.deque()
         self._awaited: _Term | None = None
@@ -490,18 +484,11 @@ class _Confirmer:
         self._queue.append(pair)
         if prev.known_composite:
             return
-        if prev.value >= _POOL_MIN and self._pooled(prev, curr):
+        if prev.value >= _POOL_MIN and self._pooled():
             pair.job = self._pool.apply_async(
                 _confirm_in_worker, (self._m, self._rounds, prev, curr)
             )
             self._awaited = curr
-            # sieve the segments to B(curr) here too, so that the workers a
-            # later search in this process forks inherit them: perfbench's
-            # pair-search repeats its search, and without this loop its
-            # wall_s rose 16-18% (median of four alternating pairs 0.588 ->
-            # 0.688 s, 2-vCPU VM, CPython 3.11.7)
-            for k in range(_tier_segments(curr.value)):
-                _segment_product(self._m, k)
         else:
             _confirm(prev, curr, self._m, self._rounds)
 
@@ -542,19 +529,18 @@ class _Confirmer:
             self._pool.join()
             self._pool = None
 
-    def _pooled(self, p: _Term, q: _Term) -> bool:
-        """Whether workers confirm the pair (p, q), whose first term is
-        at least ``_POOL_MIN``.  Until the pool is forked, the tier runs
-        here, and the pool is forked at the first such pair that clears
-        it."""
+    def _pooled(self) -> bool:
+        """Whether workers confirm the pairs whose first term is at least
+        ``_POOL_MIN``.  The pool is forked at the first of them, once this
+        process has sieved (c) to B(reach)."""
         if not self._pool_checked:
-            if not (p.clears_tier(self._m) and q.clears_tier(self._m)):
-                return False
             self._pool_checked = True
             workers = _pool_size()
             if workers:
                 import multiprocessing
 
+                for k in range(_tier_segments(self._reach)):
+                    _segment_product(self._m, k)
                 self._pool = multiprocessing.get_context("fork").Pool(
                     workers, initializer=_ignore_interrupts
                 )
@@ -610,9 +596,10 @@ def search_pairs(
             raise CheckpointMismatch(
                 f"checkpoint is for m={checkpoint.m}, search asked for m={m}"
             )
-        _validate_checkpoint(checkpoint)
         n, prev, curr = checkpoint.n, checkpoint.prev, checkpoint.curr
         found = list(checkpoint.found)
+        _validate_checkpoint(m, n, prev, curr, [(r.index, r.p, r.q) for r in found])
+        _check_verdicts(checkpoint.found)
     else:
         a, b = seed
         if not is_quasisolution(a, b, m):
@@ -620,10 +607,16 @@ def search_pairs(
         n, prev, curr = 2, a, b
         found = []
 
-    prev_term = _Term(prev)
-    confirmer = _Confirmer(m, rounds, checkpoint_path, found)
-    steps = 0
     overflow = 10**digits_limit  # curr >= overflow means too many digits
+    # every term the walk can pair is below reach: an m = 2 step obeys
+    # t_{k+1} = 5 t_k - t_{k-1} - 1 < 5 t_k (a 5**max_steps of digits_limit
+    # digits or more is not computed, as overflow is then the smaller bound)
+    reach = overflow
+    if m == 2 and max_steps is not None and max_steps * math.log10(5) < digits_limit:
+        reach = min(overflow, max(prev, curr) * 5**max_steps)
+    prev_term = _Term(prev)
+    confirmer = _Confirmer(m, rounds, checkpoint_path, found, reach)
+    steps = 0
     try:
         while True:
             # Save at the end and after every ``checkpoint_every`` steps; a

@@ -197,8 +197,8 @@ class TestOptimize:
         assert dict(cert.multipliers)["five_threes"] == 1
 
     def test_frozen_log2_3_bracket_agrees_with_exact_powering(self):
-        # the 200-digit bracket used for large denominators must contain
-        # the interval certified by integer powering
+        # the 200-digit bracket, the only comparison with log2 3, must lie
+        # inside the interval that integer powering certifies
         from sigmapairs.certify import _LOG2_3_FLOOR, _LOG2_3_SCALE
 
         lower = F(_LOG2_3_FLOOR, _LOG2_3_SCALE)
@@ -215,8 +215,8 @@ class TestOptimize:
             _compare_with_log2_3(F(_LOG2_3_FLOOR, _LOG2_3_SCALE))
 
     def test_huge_denominator_costs_are_compared_quickly(self):
-        # beyond the powering cutoff the bracket comparison kicks in;
-        # this used to explode exponentially in the denominator
+        # the bracket comparison is one cross-multiplication at any
+        # denominator; integer powering explodes exponentially in it
         big = 10**9 + 7
         system = parse_inequalities(
             f"tiny2: 0 1 0 <= 1 15/{big} 0\nthree: 0 1 0 <= 1 0 1/100000000\n"

@@ -415,6 +415,21 @@ def _logged_tier(monkeypatch, log_path):
     return calls
 
 
+def _logged_sieve(monkeypatch, log_path):
+    """Empty the cache of ``search._segment_product`` and log the segment
+    k of each of its misses, each a sieve (see ``_pid_log``)."""
+    log, calls = _pid_log(log_path)
+    sieve = search._sieve
+
+    def logged(limit, start):
+        log((start - 1 - TRIAL_DIVISION_BOUND) // search._TIER_SEGMENT)
+        return sieve(limit, start)
+
+    monkeypatch.setattr(search, "_sieve", logged)
+    search._segment_product.cache_clear()
+    return calls
+
+
 def _confirm_walk(monkeypatch, terms, indices):
     """Stages (c) and (d) of the pairs (terms[i], terms[i + 1]) for i in
     ``indices``, at chain index i + 1, as a walk queues them: the state at
@@ -423,7 +438,7 @@ def _confirm_walk(monkeypatch, terms, indices):
     states = []
     monkeypatch.setattr(search, "write_checkpoint", lambda _, state: states.append(state))
     term_objects = [search._Term(x) for x in terms]
-    confirmer = search._Confirmer(2, _FEW_ROUNDS, "unused", [])
+    confirmer = search._Confirmer(2, _FEW_ROUNDS, "unused", [], max(terms))
     try:
         for i in indices:
             confirmer.save(i + 2, terms[i], terms[i + 1])
@@ -530,10 +545,10 @@ class TestPooledConfirmation:
             assert record.q_verdict == is_prime(record.q, _FEW_ROUNDS)
 
     def test_a_worker_rejects_at_the_tier(self, monkeypatch, tmp_path):
-        # the first pair clears the tier here and starts the pool; the
-        # second waits for it and then goes to a worker, which finds the
-        # tier factor of its second term; the third pair shares that term
-        # and never starts
+        # the first pair starts the pool and goes to a worker; the second
+        # waits for it and then goes to a worker, which finds the tier
+        # factor of its second term; the third pair shares that term and
+        # never starts
         asked = _forced_pool(monkeypatch, 2)
         tier_calls = _logged_tier(monkeypatch, tmp_path / "tier.log")
         prime_calls = _logged_is_prime(monkeypatch, tmp_path / "prime.log")
@@ -551,8 +566,8 @@ class TestPooledConfirmation:
         assert sorted(x for _, x in started()) == sorted([_P1, _P2])
         assert [(r.index, r.p, r.q) for r in found] == [(1, _P2, _P1)]
         me = os.getpid()
-        assert sorted(x for pid, x in tier_calls() if pid == me) == sorted([_P1, _P2])
-        assert [x for pid, x in tier_calls() if pid != me] == [_TIER_COMPOSITE]
+        assert [x for pid, x in tier_calls() if pid == me] == []
+        assert [x for pid, x in tier_calls() if pid != me] == [_P2, _P1, _TIER_COMPOSITE]
         assert sorted(x for _, x in prime_calls()) == sorted([_P1, _P2])
 
     def test_states_wait_for_the_pairs_before_them(self, monkeypatch):
@@ -688,19 +703,51 @@ class TestPooledConfirmation:
         search_pairs(2, digits_limit=500)
         assert asked == []
 
-    def test_no_pool_when_the_large_pairs_fall_to_the_tier(self, monkeypatch, tmp_path):
+    def test_the_pool_starts_at_the_first_large_candidate_pair(
+        self, monkeypatch, tmp_path
+    ):
         # from n = 1000 (t_1000 has 679 digits) to 800 digits the only
-        # candidate pair is at index 1066, and the tier finds a factor of
-        # its second term in this process
+        # candidate pair is at index 1066: it starts the pool, and a
+        # worker finds the tier factor of its second term
         asked = _forced_pool(monkeypatch, 2)
         calls = _logged_tier(monkeypatch, tmp_path / "tier.log")
         terms = chain_terms(2, 1067)
         start = SearchCheckpoint(m=2, n=1000, prev=terms[998], curr=terms[999], found=())
         assert search_pairs(2, checkpoint=start, digits_limit=800) == []
-        assert [x for _, x in calls()] == terms[1065:]
+        assert asked == [2]
+        me = os.getpid()
+        assert [x for pid, x in calls() if pid != me] == terms[1065:]
+        assert [x for pid, x in calls() if pid == me] == []
         assert terms[1065] >= search._POOL_MIN
         assert search._tier_finds_factor(2, terms[1066])
-        assert asked == []
+
+    def test_the_searching_process_sieves_each_segment_once(
+        self, monkeypatch, tmp_path
+    ):
+        # the workers inherit every segment the walk can need
+        asked = _forced_pool(monkeypatch, 2)
+        sieved = _logged_sieve(monkeypatch, tmp_path / "sieve.log")
+        search_pairs(2, digits_limit=700)
+        assert asked == [2]
+        assert {pid for pid, _ in sieved()} == {os.getpid()}
+        segments = [k for _, k in sieved()]
+        assert len(segments) == len(set(segments))
+        assert max(segments) + 1 == search._tier_segments(10**700) == 27
+
+    def test_a_slice_of_max_steps_sieves_only_what_it_reaches(
+        self, monkeypatch, tmp_path
+    ):
+        # from n = 741 (t_741 has 503 digits) 150 steps stay below
+        # t_741 * 5**150, whose bound needs 21 segments; 10**4000 needs 577
+        asked = _forced_pool(monkeypatch, 2)
+        sieved = _logged_sieve(monkeypatch, tmp_path / "sieve.log")
+        terms = chain_terms(2, 741)
+        start = SearchCheckpoint(m=2, n=741, prev=terms[739], curr=terms[740], found=())
+        search_pairs(2, checkpoint=start, digits_limit=4000, max_steps=150)
+        assert asked == [2]
+        reach = search._tier_segments(terms[740] * 5**150)
+        assert (reach, search._tier_segments(10**4000)) == (21, 577)
+        assert sorted(k for _, k in sieved()) == list(range(reach))
 
 
 # A 700-digit walk sends the pairs at these indices to the pool (their
@@ -941,6 +988,27 @@ class TestCheckpoints:
             ))
             with pytest.raises(CheckpointMismatch):
                 search_pairs(2, digits_limit=20, checkpoint=checkpoint)
+
+    def test_checks_the_pairs_before_any_primality_test(
+        self, monkeypatch, tmp_path, run_cli
+    ):
+        # 2**4423 - 1 is a prime of 1332 digits, but no quasisolution with 13
+        path = tmp_path / "walk.ck"
+        path.write_text(
+            "sigma-chain-checkpoint v1\nm=2\nn=5\nprev=13\ncurr=61\n"
+            f"pair 3 {2**4423 - 1} 13\n",
+            encoding="ascii",
+        )
+
+        def untested(x, rounds=DEFAULT_ROUNDS):
+            raise AssertionError(f"is_prime called on a {decimal_digits(x)}-digit term")
+
+        monkeypatch.setattr(search, "is_prime", untested)
+        with pytest.raises(CheckpointMismatch):
+            load_checkpoint(str(path))
+        assert run_cli(
+            "search", "--m", "2", "--digits", "20", "--checkpoint", str(path)
+        ) == (3, "")
 
     @given(
         garbage=st.one_of(st.text(max_size=300).map(str.encode), st.binary(max_size=300))
