@@ -90,7 +90,17 @@ def is_quasisolution(p: int, q: int, m: int = 2) -> bool:
     """True iff p | sigma(q^m) and q | sigma(p^m)."""
     if p < 1 or q < 1:
         raise ValueError(f"terms must be positive, got ({p}, {q})")
-    return sigma_power(q, m) % p == 0 and sigma_power(p, m) % q == 0
+    if m < 1:
+        raise ValueError(f"exponent must be >= 1, got {m}")
+    return _sigma_power_mod(q, m, p) == 0 and _sigma_power_mod(p, m, q) == 0
+
+
+def _sigma_power_mod(x: int, m: int, y: int) -> int:
+    # Horner's rule modulo y: a huge m never builds sigma(x^m) itself
+    total = 1
+    for _ in range(m):
+        total = (total * x + 1) % y
+    return total
 
 
 def quadratic_identity_holds(p: int, q: int) -> bool:

@@ -7,6 +7,12 @@ report with ``agrees=False`` means the enumeration found something the
 expected set does not predict, or vice versa; reports never hide
 counterexamples.
 
+The oracles that turn on divisors of x^2+1 (``s_classification``) or
+of x^2+x+1 (``no_square_pair``, ``pqr``, ``linked``) read them from one
+streaming root sieve, :func:`_quadratic_factors`.  It factors every
+x^2+bx+1 up to the bound completely, so the enumeration still misses no
+solution.
+
 Known honest failure: :func:`oracle_gcd` checks the claim that
 gcd(p^2+p+1, q^2+q+1) divides 3 along the chain.  That claim is false:
 the gcd also takes the values 7 and 21 (first at chain index 8, and 21
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .chains import generate_s, generate_u
 
@@ -92,64 +98,90 @@ def oracle_p_div_q1(bound: int) -> OracleReport:
     return _report("p_div_q1", bound, witnesses, expected)
 
 
+def _quadratic_factors(b: int, bound: int) -> Iterator[tuple[int, list[int]]]:
+    """Yield (x, factors) for x = 1 .. bound, where factors lists the
+    prime factors of x^2 + bx + 1 (b = 0 or 1) with multiplicity, each
+    prime's copies next to each other.
+
+    A streaming root sieve: ``hits`` maps an index to the primes with a
+    root there, and is all the state kept.  The primes popped at x are
+    every prime p <= x dividing x^2 + bx + 1, each found at the least
+    root of its class mod p and rescheduled p steps on.  What is left
+    once they are divided out is 1 or a single prime above x, since two
+    factors above x exceed x^2 + bx + 1.  Every prime found at x is
+    scheduled at x + p, unless that is past ``bound``.
+    """
+    hits: dict[int, list[int]] = {}
+    for x in range(1, bound + 1):
+        value = x * x + b * x + 1
+        factors = []
+        primes = hits.pop(x, [])
+        for p in primes:
+            while value % p == 0:
+                value //= p
+                factors.append(p)
+        if value > 1:
+            factors.append(value)
+            primes.append(value)
+        for p in primes:
+            if x + p <= bound:
+                hits.setdefault(x + p, []).append(p)
+        yield x, factors
+
+
+def _divisors(factors: list[int]) -> list[int]:
+    """All divisors of the product of a factor list whose equal primes
+    are adjacent."""
+    divisors = [1]
+    run: list[int] = []
+    for i, p in enumerate(factors):
+        # a repeated prime raises only the divisors its last copy made
+        base = run if i and p == factors[i - 1] else divisors
+        run = [d * p for d in base]
+        divisors += run
+    return divisors
+
+
 def oracle_no_square_pair(bound: int) -> OracleReport:
     """Primes p, q <= bound with p^2 | q^2+q+1 and q | p^2+p+1; no
     solutions exist."""
-    primes = _primes_up_to(bound)
+    primes = set(_primes_up_to(bound))
     witnesses = []
-    for q in primes:
-        value = q * q + q + 1
-        for p in primes:
-            if p * p > value:
-                break
-            if value % (p * p) == 0 and (p * p + p + 1) % q == 0:
-                witnesses.append((p, q))
+    for q, factors in _quadratic_factors(1, bound):
+        if q in primes:
+            # p^2 <= q^2+q+1 keeps p <= q <= bound
+            witnesses.extend(
+                (p, q) for p in set(factors)
+                if factors.count(p) >= 2 and (p * p + p + 1) % q == 0
+            )
     return _report("no_square_pair", bound, witnesses, [])
-
-
-def _prime_factorization(n: int) -> dict[int, int]:
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
 
 
 def oracle_pqr(bound: int) -> OracleReport:
     """Primes p, q <= bound and any prime r with pr | q^2+q+1,
     q | p^2+p+1, p | r+1 and r = 1 (mod 4); no solutions exist."""
-    primes = _primes_up_to(bound)
+    primes = set(_primes_up_to(bound))
     witnesses = []
-    for p in primes:
-        value = p * p + p + 1
-        for q in primes:
-            if value % q:
+    for q, factors in _quadratic_factors(1, bound):
+        if q not in primes:
+            continue
+        m = q * q + q + 1
+        for p in set(factors):
+            if p > bound or (p * p + p + 1) % q:
                 continue
-            m = q * q + q + 1
-            if m % p:
-                continue
-            for r in _prime_factorization(m):
+            for r in set(factors):
                 if r % 4 == 1 and (r + 1) % p == 0 and m % (p * r) == 0:
                     witnesses.append((p, q, r))
     return _report("pqr", bound, witnesses, [])
 
 
 def _sigma22_prime_pairs(bound: int) -> set[tuple[int, int]]:
-    primes = _primes_up_to(bound)
-    pairs = set()
-    for q in primes:
-        value = q * q + q + 1
-        for p in primes:
-            if p >= q:
-                break
-            if value % p == 0 and (p * p + p + 1) % q == 0:
-                pairs.add((p, q))
-    return pairs
+    primes = set(_primes_up_to(bound))
+    return {
+        (p, q)
+        for q, factors in _quadratic_factors(1, bound) if q in primes
+        for p in set(factors) if p < q and (p * p + p + 1) % q == 0
+    }
 
 
 def oracle_linked(bound: int) -> OracleReport:
@@ -243,17 +275,12 @@ def oracle_p1q1(bound: int) -> OracleReport:
 def oracle_s_classification(bound: int) -> OracleReport:
     """Pairs x <= y <= bound with x | y^2+1 and y | x^2+1 are exactly
     the consecutive pairs of the s sequence (odd-index Fibonaccis)."""
-    witnesses = []
-    for x in range(1, bound + 1):
-        value = x * x + 1
-        # y = value // d runs over divisors >= x while staying <= bound
-        low = max(1, (value + bound - 1) // bound)
-        high = value // x
-        for d in range(low, high + 1):
-            if value % d == 0:
-                y = value // d
-                if x <= y <= bound and (y * y + 1) % x == 0:
-                    witnesses.append((x, y))
+    witnesses = [
+        (x, y)
+        for x, factors in _quadratic_factors(0, bound)
+        for y in _divisors(factors)
+        if x <= y <= bound and (y * y + 1) % x == 0
+    ]
     s_terms = generate_s(60)
     expected = [
         (s_terms[i], s_terms[i + 1])

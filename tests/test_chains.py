@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigmapairs.arith import sigma_power
 from sigmapairs.chains import (
     ChainState,
     NonIntegralStep,
@@ -98,6 +99,17 @@ class TestQuasisolutions:
     )
     def test_examples(self, p, q, m, expected):
         assert is_quasisolution(p, q, m) is expected
+
+    def test_agrees_with_the_divisor_sums(self):
+        for m in range(1, 7):
+            for p in range(1, 41):
+                for q in range(1, 41):
+                    expected = sigma_power(q, m) % p == 0 and sigma_power(p, m) % q == 0
+                    assert is_quasisolution(p, q, m) is expected, (p, q, m)
+
+    def test_rejects_an_exponent_below_1(self):
+        with pytest.raises(ValueError):
+            is_quasisolution(3, 13, 0)
 
     @pytest.mark.parametrize(
         "p, q, expected",

@@ -1,7 +1,14 @@
+from itertools import groupby
+from math import prod
+
 import pytest
 
+from sigmapairs.arith import is_prime
 from sigmapairs.oracles import (
     ORACLES,
+    _primes_up_to,
+    _quadratic_factors,
+    _sigma22_prime_pairs,
     oracle_gcd,
     oracle_linked,
     oracle_no_square_pair,
@@ -195,3 +202,112 @@ class TestOracleTable:
         report = oracle_p1q1(10)
         assert report.bound == 10
         assert report.lemma_id == "p1q1"
+
+
+# The double loops the sieved oracles replaced, kept as references.
+
+def _reference_no_square_pair(bound):
+    primes = _primes_up_to(bound)
+    witnesses = []
+    for q in primes:
+        value = q * q + q + 1
+        for p in primes:
+            if p * p > value:
+                break
+            if value % (p * p) == 0 and (p * p + p + 1) % q == 0:
+                witnesses.append((p, q))
+    return witnesses
+
+
+def _reference_factorization(n):
+    factors = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def _reference_pqr(bound):
+    primes = _primes_up_to(bound)
+    witnesses = []
+    for p in primes:
+        value = p * p + p + 1
+        for q in primes:
+            if value % q:
+                continue
+            m = q * q + q + 1
+            if m % p:
+                continue
+            for r in _reference_factorization(m):
+                if r % 4 == 1 and (r + 1) % p == 0 and m % (p * r) == 0:
+                    witnesses.append((p, q, r))
+    return witnesses
+
+
+def _reference_sigma22_prime_pairs(bound):
+    primes = _primes_up_to(bound)
+    pairs = set()
+    for q in primes:
+        value = q * q + q + 1
+        for p in primes:
+            if p >= q:
+                break
+            if value % p == 0 and (p * p + p + 1) % q == 0:
+                pairs.add((p, q))
+    return pairs
+
+
+def _reference_s_classification(bound):
+    witnesses = []
+    for x in range(1, bound + 1):
+        value = x * x + 1
+        low = max(1, (value + bound - 1) // bound)
+        high = value // x
+        for d in range(low, high + 1):
+            if value % d == 0:
+                y = value // d
+                if x <= y <= bound and (y * y + 1) % x == 0:
+                    witnesses.append((x, y))
+    return witnesses
+
+
+_CHECKED_BOUNDS = [*range(-1, 501), 1000, 3001, 10**4]
+
+
+class TestQuadraticFactors:
+    @pytest.mark.parametrize("b", [0, 1])
+    def test_factors_every_value_into_adjacent_primes(self, b):
+        seen = []
+        for x, factors in _quadratic_factors(b, 4000):
+            seen.append(x)
+            assert prod(factors) == x * x + b * x + 1, x
+            assert all(is_prime(p).is_probable_prime for p in factors), (x, factors)
+            runs = [p for p, _ in groupby(factors)]
+            assert len(runs) == len(set(runs)), (x, factors)
+        assert seen == list(range(1, 4001))
+
+
+class TestSievedOraclesMatchTheDoubleLoops:
+    @pytest.mark.parametrize(
+        "oracle, reference",
+        [
+            (oracle_no_square_pair, _reference_no_square_pair),
+            (oracle_pqr, _reference_pqr),
+            (oracle_s_classification, _reference_s_classification),
+        ],
+        ids=["no_square_pair", "pqr", "s_classification"],
+    )
+    def test_reports(self, oracle, reference):
+        for bound in _CHECKED_BOUNDS:
+            report = oracle(bound)
+            assert report.witnesses == tuple(sorted(set(reference(bound)))), bound
+            assert report.bound == bound
+
+    def test_sigma22_prime_pairs(self):
+        for bound in _CHECKED_BOUNDS:
+            assert _sigma22_prime_pairs(bound) == _reference_sigma22_prime_pairs(bound), bound

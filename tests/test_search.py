@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sigmapairs import arith, search
+from sigmapairs import arith, chains, search
 from sigmapairs.arith import (
     DEFAULT_ROUNDS,
     TRIAL_DIVISION_BOUND,
@@ -1004,6 +1004,26 @@ class TestCheckpoints:
             raise AssertionError(f"is_prime called on a {decimal_digits(x)}-digit term")
 
         monkeypatch.setattr(search, "is_prime", untested)
+        with pytest.raises(CheckpointMismatch):
+            load_checkpoint(str(path))
+        assert run_cli(
+            "search", "--m", "2", "--digits", "20", "--checkpoint", str(path)
+        ) == (3, "")
+
+    def test_refuses_a_huge_exponent_without_building_its_divisor_sum(
+        self, monkeypatch, tmp_path, run_cli
+    ):
+        # (t_8, t_9) = (6673, 31971) is no quasisolution for m = 100000
+        path = tmp_path / "walk.ck"
+        path.write_text(
+            "sigma-chain-checkpoint v1\nm=100000\nn=9\nprev=6673\ncurr=31971\n",
+            encoding="ascii",
+        )
+
+        def unbuilt(x, m):
+            raise AssertionError(f"sigma({x}^{m}) built")
+
+        monkeypatch.setattr(chains, "sigma_power", unbuilt)
         with pytest.raises(CheckpointMismatch):
             load_checkpoint(str(path))
         assert run_cli(
