@@ -96,10 +96,18 @@ def is_quasisolution(p: int, q: int, m: int = 2) -> bool:
 
 
 def _sigma_power_mod(x: int, m: int, y: int) -> int:
-    # Horner's rule modulo y: a huge m never builds sigma(x^m) itself
-    total = 1
-    for _ in range(m):
-        total = (total * x + 1) % y
+    # Horner's rule modulo y over the binary digits of m + 1: a sum
+    # 1 + x + ... + x^(k-1) of k terms doubles to 2k terms as s (1 + x^k)
+    # and grows to 2k + 1 as 1 + x s.  About log2(m)^2 / 2 products, so a
+    # huge m never builds sigma(x^m); one product for m = 2, under half
+    # the cost of (x^(m+1) - 1) / (x - 1) modulo y (x - 1) at 2000 digits.
+    total, k = 1, 1
+    for bit in bin(m + 1)[3:]:
+        total = total * (1 + pow(x, k, y)) % y
+        k *= 2
+        if bit == "1":
+            total = (total * x + 1) % y
+            k += 1
     return total
 
 

@@ -49,14 +49,14 @@ CPU, where ``fork`` is missing or while the caller runs other threads.
 The walk goes on while the workers test.
 
 Every stage rejects only composites, so the records equal those of a
-full test on every pair.  Each stage runs at most once per term, also
-across processes: a worker returns each term's outcomes, which are
-copied onto the searching process's terms, and a pair whose t_n is the
-second term of the latest pair sent to a worker waits for them.  On the
-m = 2 chain no pair waits: 3 | t_n exactly when 3 | n, and 3 is on the
-list of (a), so no two candidate pairs after index 4 share a term.
-Records and checkpoint writes are settled in walk order, so they do not
-depend on which worker finishes first.
+full test on every pair.  Stage (a) runs at most once per term.  Stages
+(c) and (d) run per pair, as one function of (m, rounds, t_n, t_{n+1}),
+so a term shared by two candidate pairs is tested in each.  On every
+chain measured that happens only for terms of at most 2 digits: on the
+m = 2 chain 3 | t_n exactly when 3 | n, and 3 is on the list of (a), so
+no two candidate pairs after index 4 share a term.  Records and
+checkpoint writes are settled in walk order, so they do not depend on
+which worker finishes first.
 """
 
 from __future__ import annotations
@@ -304,65 +304,25 @@ def _tier_finds_factor(m: int, x: int) -> bool:
     return any(math.gcd(_segment_product(m, k), x) > 1 for k in range(segments))
 
 
-class _Term:
-    """One chain term in the pipeline.  Each stage runs on demand and
-    keeps its outcome, None until it has run: ``survives`` for stage
-    (a), the tier's outcome for stage (c) and ``verdict`` for stage (d).
-    So a term passes each stage at most once, also when it moves from
-    ``curr`` to ``prev``.  A worker runs stages (c) and (d) on copies of
-    a pair's terms and returns their outcomes, which
-    :meth:`_Confirmer.settle` copies onto the terms here."""
-
-    __slots__ = ("value", "survives", "_clears_tier", "verdict")
-
-    def __init__(self, value: int):
-        self.value = value
-        self.survives: bool | None = None
-        self._clears_tier: bool | None = None
-        self.verdict: PrimalityVerdict | None = None
-
-    def trial_divide(self, m: int) -> bool:
-        """Stage (a): whether no listed prime is a proper factor."""
-        if self.survives is None:
-            p = _trial_divisor(m).smallest_factor(self.value)
-            self.survives = p is None or p == self.value
-        return self.survives
-
-    def clears_tier(self, m: int) -> bool:
-        """Stage (c)."""
-        if self._clears_tier is None:
-            self._clears_tier = not _tier_finds_factor(m, self.value)
-        return self._clears_tier
-
-    def test(self, rounds: int) -> PrimalityVerdict:
-        """Stage (d)."""
-        if self.verdict is None:
-            self.verdict = is_prime(self.value, rounds)
-        return self.verdict
-
-    @property
-    def is_probable_prime(self) -> bool:
-        return self.verdict is not None and self.verdict.is_probable_prime
-
-    @property
-    def known_composite(self) -> bool:
-        """Whether stage (c) or (d) has found this term composite."""
-        return self._clears_tier is False or (
-            self.verdict is not None and not self.verdict.is_probable_prime
-        )
+def _survives(m: int, x: int) -> bool:
+    """Stage (a): whether no listed prime is a proper factor of ``x``."""
+    p = _trial_divisor(m).smallest_factor(x)
+    return p is None or p == x
 
 
-def _confirm(prev: _Term, curr: _Term, m: int, rounds: int) -> None:
-    """Stages (c) and (d) of the candidate pair (prev, curr), each on a
-    term only where its outcome is not yet known: the tier on prev and
-    then curr, then the full test of prev, and of curr when prev is a
-    probable prime."""
-    if (
-        prev.clears_tier(m)
-        and curr.clears_tier(m)
-        and prev.test(rounds).is_probable_prime
-    ):
-        curr.test(rounds)
+def _confirm(
+    m: int, rounds: int, p: int, q: int
+) -> tuple[PrimalityVerdict, PrimalityVerdict] | None:
+    """Stages (c) and (d) of the candidate pair (p, q): the tier on p and
+    then q, then the full test of p, and of q when p is a probable prime.
+    Returns both verdicts when both are probable primes, else None."""
+    if _tier_finds_factor(m, p) or _tier_finds_factor(m, q):
+        return None
+    p_verdict = is_prime(p, rounds)
+    if not p_verdict.is_probable_prime:
+        return None
+    q_verdict = is_prime(q, rounds)
+    return (p_verdict, q_verdict) if q_verdict.is_probable_prime else None
 
 
 # Stages (c) and (d) run in worker processes for a pair whose first term
@@ -414,49 +374,23 @@ def _exit_on_sigterm(signum, frame) -> None:
     raise SystemExit(128 + signum)
 
 
-def _confirm_in_worker(
-    m: int, rounds: int, prev: _Term, curr: _Term
-) -> tuple[tuple[bool | None, PrimalityVerdict | None], ...]:
-    """:func:`_confirm` in a worker, on copies of the terms; returns each
-    term's tier outcome and verdict."""
-    _confirm(prev, curr, m, rounds)
-    return (prev._clears_tier, prev.verdict), (curr._clears_tier, curr.verdict)
-
-
-class _Pair:
-    """A candidate pair (t_index, t_{index+1}) in stages (c) and (d);
-    ``job`` is the pending result while a worker confirms it."""
-
-    __slots__ = ("index", "prev", "curr", "job")
-
-    def __init__(self, index: int, prev: _Term, curr: _Term):
-        self.index = index
-        self.prev = prev
-        self.curr = curr
-        self.job = None
-
-
 class _Confirmer:
     """Stages (c) and (d), and the search's records and checkpoint
     writes in walk order.
 
     Candidate pairs and checkpoint states join one queue in walk order
-    and leave it from the front: a pair once its outcomes are known,
+    and leave it from the front: a pair once its verdicts are known,
     adding a record when both terms are probable primes, and a state by
     being written with the records found so far.  So each file holds
     exactly the records with index <= n - 2, and the files and records
     are those of a walk that confirmed every pair in place.
 
-    A pair starts when it joins the queue, after settling the whole
-    queue if its first term is the second term of the latest pair sent
-    to the pool (never, on the m = 2 chain: see the module docstring).
-    It stops there if its first term is known composite.  A pair whose
-    first term is below ``_POOL_MIN`` runs (c) and (d) in this process.
-    The others go to the worker pool, with whatever outcomes their terms
-    already have: it is forked at the first of them, after this process
-    has sieved (c) to B(reach), where ``reach`` bounds every term the walk
-    can pair, and it is ended by :meth:`close`.  Where the pool cannot
-    run, they too are confirmed here.
+    A pair whose first term is below ``_POOL_MIN`` is confirmed when it
+    joins the queue, in this process.  The others go to the worker pool:
+    it is forked at the first of them, after this process has sieved (c)
+    to B(reach), where ``reach`` bounds every term the walk can pair, and
+    it is ended by :meth:`close`.  Where the pool cannot run, they too
+    are confirmed here.
     """
 
     def __init__(
@@ -468,8 +402,8 @@ class _Confirmer:
         self._rounds = rounds
         self._reach = reach
         self._path = checkpoint_path
-        self._queue: collections.deque[_Pair | tuple[int, int, int]] = collections.deque()
-        self._awaited: _Term | None = None
+        # states (n, prev, curr) and pairs (index, p, q, job, verdicts)
+        self._queue: collections.deque[tuple] = collections.deque()
         self._pool = None
         self._pool_checked = False
         self._sigterm = None
@@ -477,48 +411,35 @@ class _Confirmer:
     def save(self, n: int, prev: int, curr: int) -> None:
         self._queue.append((n, prev, curr))
 
-    def add_pair(self, index: int, prev: _Term, curr: _Term) -> None:
-        if prev is self._awaited:
-            self.settle(wait=True)
-        pair = _Pair(index, prev, curr)
-        self._queue.append(pair)
-        if prev.known_composite:
-            return
-        if prev.value >= _POOL_MIN and self._pooled():
-            pair.job = self._pool.apply_async(
-                _confirm_in_worker, (self._m, self._rounds, prev, curr)
-            )
-            self._awaited = curr
+    def add_pair(self, index: int, p: int, q: int) -> None:
+        """Queue the candidate pair (p, q) = (t_index, t_{index+1}) with
+        its outcome, or with the pending job while a worker confirms it."""
+        args = (self._m, self._rounds, p, q)
+        if p >= _POOL_MIN and self._pooled():
+            self._queue.append((index, p, q, self._pool.apply_async(_confirm, args), None))
         else:
-            _confirm(prev, curr, self._m, self._rounds)
+            self._queue.append((index, p, q, None, _confirm(*args)))
 
     def settle(self, wait: bool) -> None:
         """Take the settled entries off the front of the queue; with
         ``wait``, every entry."""
         while self._queue:
             head = self._queue[0]
-            if isinstance(head, tuple):
+            if len(head) == 3:
                 n, prev, curr = head
                 write_checkpoint(self._path, SearchCheckpoint(
                     m=self._m, n=n, prev=prev, curr=curr, found=tuple(self.found)
                 ))
             else:
-                p, q = head.prev, head.curr
-                if head.job is not None:
-                    if not (wait or head.job.ready()):
+                index, p, q, job, verdicts = head
+                if job is not None:
+                    if not (wait or job.ready()):
                         return
-                    outcomes = head.job.get()
-                    (p._clears_tier, p.verdict), (q._clears_tier, q.verdict) = outcomes
-                if p.is_probable_prime and q.is_probable_prime:
-                    self.found.append(PairRecord(
-                        m=self._m,
-                        index=head.index,
-                        p=p.value,
-                        q=q.value,
-                        p_verdict=p.verdict,
-                        q_verdict=q.verdict,
-                        digits_q=decimal_digits(q.value),
-                    ))
+                    verdicts = job.get()
+                if verdicts is not None:
+                    self.found.append(
+                        PairRecord(self._m, index, p, q, *verdicts, decimal_digits(q))
+                    )
             self._queue.popleft()
 
     def close(self) -> None:
@@ -614,7 +535,7 @@ def search_pairs(
     reach = overflow
     if m == 2 and max_steps is not None and max_steps * math.log10(5) < digits_limit:
         reach = min(overflow, max(prev, curr) * 5**max_steps)
-    prev_term = _Term(prev)
+    prev_survives = None  # stage (a) on prev, None until divided
     confirmer = _Confirmer(m, rounds, checkpoint_path, found, reach)
     steps = 0
     try:
@@ -628,20 +549,16 @@ def search_pairs(
             if done:
                 break
             confirmer.settle(wait=False)
-            curr_term = _Term(curr)
             # stages (a) and (b), lazily: curr first, and neither term
             # once prev has failed
-            if (
-                prev_term.survives is not False
-                and curr_term.trial_divide(m)
-                and prev_term.trial_divide(m)
-            ):
-                confirmer.add_pair(n - 1, prev_term, curr_term)
+            curr_survives = None if prev_survives is False else _survives(m, curr)
+            if curr_survives and (prev_survives or _survives(m, prev)):
+                confirmer.add_pair(n - 1, prev, curr)
             # advance to the state holding (t_n, t_{n+1}); a step from a
             # quasisolution is integral and gives a quasisolution again.
             # Not chain_next: tracing and tests count steps by search.sigma_power.
             prev, curr, n = curr, sigma_power(curr, m) // prev, n + 1
-            prev_term = curr_term
+            prev_survives = curr_survives
             steps += 1
         confirmer.settle(wait=True)
     finally:

@@ -225,7 +225,7 @@ class TestCandidatePipeline:
         state = ChainState(m=m, n=2, prev=seed[0], curr=seed[1])
         while state.curr < overflow:
             x = state.curr
-            survives = search._Term(x).trial_divide(m)
+            survives = search._survives(m, x)
             assert survives == all(x % p for p in primes if p < x), (m, seed, state.n)
             state = chain_next(state)
 
@@ -242,7 +242,7 @@ class TestCandidatePipeline:
         x = cofactor
         for pick in picks:
             x *= primes[pick % len(primes)]
-        survives = search._Term(x).trial_divide(m)
+        survives = search._survives(m, x)
         assert survives == all(x % p for p in primes)
 
     @pytest.mark.parametrize("m, seed, digits", [
@@ -261,7 +261,7 @@ class TestCandidatePipeline:
         while state.curr < 10**digits:
             terms.append(state.curr)
             state = chain_next(state)
-        survives = [search._Term(x).trial_divide(m) for x in terms]
+        survives = [search._survives(m, x) for x in terms]
         checked = set()
         for i in range(1, len(terms)):
             if m > 2 or (survives[i - 1] and survives[i]):
@@ -300,29 +300,25 @@ class TestCandidatePipeline:
             assert bound == TRIAL_DIVISION_BOUND or bound < x
 
     def test_tier_runs_at_most_once_per_term(self, monkeypatch, tmp_path):
-        # the walk passes two pairs with 500 digits: the first starts the
-        # pool after its tier ran here, the second runs its tier in a worker
+        # the walk passes two pairs with 500 digits, whose tier runs in a
+        # worker; a term shared by two candidate pairs runs the tier in
+        # each, and no term past the tier's start is shared
         _forced_pool(monkeypatch, 2)
         calls = _logged_tier(monkeypatch, tmp_path / "tier.log")
         search_pairs(2, digits_limit=600)
-        seen = [x for _, x in calls() if x > 1]  # t_1 = t_2 = 1; every later term is new
-        assert any(search._tier_bound(x) > TRIAL_DIVISION_BOUND for x in seen)
+        tiered = [x for _, x in calls() if search._tier_bound(x) > TRIAL_DIVISION_BOUND]
+        assert tiered
         assert {pid for pid, _ in calls()} - {os.getpid()}
-        assert len(seen) == len(set(seen))
+        assert len(tiered) == len(set(tiered))
 
     def test_stage_a_divides_only_terms_of_possible_candidates(self, monkeypatch):
         # a term is divided while a pair it belongs to can still be a
         # candidate, so a skipped term has two rejected neighbours; the
         # last term walked belongs to one pair only
         divided = []
-        trial_divide = search._Term.trial_divide
-
-        def recording(term, m):
-            if term.survives is None:  # not divided yet
-                divided.append(term.value)
-            return trial_divide(term, m)
-
-        monkeypatch.setattr(search._Term, "trial_divide", recording)
+        survives = search._survives
+        monkeypatch.setattr(search, "_survives", lambda m, x: (
+            divided.append(x), survives(m, x))[1])
         search_pairs(2, digits_limit=1000)
         terms = [1, 1]
         while terms[-1] < 10**1000:
@@ -338,7 +334,8 @@ class TestCandidatePipeline:
                 assert any(x % p == 0 for p in primes if p < x), k
 
     def test_no_term_is_tested_twice(self, monkeypatch):
-        # one primality call per term value, whatever its round count
+        # each candidate pair is confirmed on its own, so a term of two
+        # candidate pairs can be tested twice; past t_2 = 1, only t_4 = 13 is
         calls = []
 
         def counting(x, rounds=DEFAULT_ROUNDS):
@@ -349,7 +346,8 @@ class TestCandidatePipeline:
         monkeypatch.setattr(search, "is_prime", counting)
         search_pairs(2, digits_limit=300)
         assert {3, 13, 61, 22419767768701, 107419560853453} <= set(calls)
-        assert len(calls) == len(set(calls))
+        above = [x for x in calls if x > 13]
+        assert len(above) == len(set(above))
 
 
 # Probable primes above the pool gate, built as Mersenne primes, and
@@ -437,12 +435,11 @@ def _confirm_walk(monkeypatch, terms, indices):
     the records and the states written."""
     states = []
     monkeypatch.setattr(search, "write_checkpoint", lambda _, state: states.append(state))
-    term_objects = [search._Term(x) for x in terms]
     confirmer = search._Confirmer(2, _FEW_ROUNDS, "unused", [], max(terms))
     try:
         for i in indices:
             confirmer.save(i + 2, terms[i], terms[i + 1])
-            confirmer.add_pair(i + 1, term_objects[i], term_objects[i + 1])
+            confirmer.add_pair(i + 1, terms[i], terms[i + 1])
             confirmer.settle(wait=False)
         confirmer.save(indices[-1] + 3, terms[-2], terms[-1])
         confirmer.settle(wait=True)
@@ -470,16 +467,18 @@ class _ScheduledJob:
 
 
 class _ScheduledPool:
-    """The fork pool's stand-in, in this process: ``apply_async`` runs the
-    function at once on pickled copies of its arguments and returns a
-    pickled copy of its result, as the pipes to a worker would.  The k-th
-    job answers ``ready()`` with False the first ``delays[k]`` times (none
-    once the delays run out), so the jobs finish in the order they give."""
+    """The fork pool's stand-in, in this process: ``apply_async`` checks
+    that a job is a call on plain ints, runs it at once on pickled copies
+    of them and returns a pickled copy of its result, as the pipes to a
+    worker would.  The k-th job answers ``ready()`` with False the first
+    ``delays[k]`` times (none once the delays run out), so the jobs finish
+    in the order they give."""
 
     def __init__(self, delays):
         self._delays = iter(delays)
 
     def apply_async(self, func, args):
+        assert all(type(arg) is int for arg in args), args
         result = func(*pickle.loads(pickle.dumps(args)))
         return _ScheduledJob(pickle.loads(pickle.dumps(result)), next(self._delays, 0))
 
@@ -506,8 +505,7 @@ def _scheduled_walks(draw):
 class TestPooledConfirmation:
     @pytest.mark.parametrize("terms, indices", [
         # (composite, .), then (prime, prime) sharing its first term, then
-        # (prime, composite) sharing its first term: each pair waits for
-        # the one before it
+        # (prime, composite) sharing its first term
         ([_MR_COMPOSITE, _P1, _P2, _TD_COMPOSITE], [0, 1, 2]),
         # pairs apart from each other: (prime, composite) and (composite, .)
         ([_P1, _MR_COMPOSITE, 7, _TD_COMPOSITE, _P2], [0, 3]),
@@ -531,10 +529,9 @@ class TestPooledConfirmation:
         assert {pid for pid, _ in pooled_calls()} - {os.getpid()}
         assert pooled == serial
         assert states == serial_states
-        # the same values are tested, each once
+        # the same values are tested
         values = [x for _, x in pooled_calls()]
         assert sorted(values) == sorted(x for _, x in serial_calls())
-        assert len(values) == len(set(values))
         expected = [
             (i + 1, terms[i], terms[i + 1]) for i in indices
             if terms[i] in (_P1, _P2) and terms[i + 1] in (_P1, _P2)
@@ -545,29 +542,21 @@ class TestPooledConfirmation:
             assert record.q_verdict == is_prime(record.q, _FEW_ROUNDS)
 
     def test_a_worker_rejects_at_the_tier(self, monkeypatch, tmp_path):
-        # the first pair starts the pool and goes to a worker; the second
-        # waits for it and then goes to a worker, which finds the tier
-        # factor of its second term; the third pair shares that term and
-        # never starts
+        # the first pair starts the pool; each pair goes to a worker, which
+        # finds the tier factor of the second pair's second term and then
+        # of the third pair's first term, the same term
         asked = _forced_pool(monkeypatch, 2)
         tier_calls = _logged_tier(monkeypatch, tmp_path / "tier.log")
         prime_calls = _logged_is_prime(monkeypatch, tmp_path / "prime.log")
-        log, started = _pid_log(tmp_path / "started.log")
-        confirm = search._confirm
-
-        def logged_confirm(prev, curr, m, rounds):
-            log(prev.value)
-            confirm(prev, curr, m, rounds)
-
-        monkeypatch.setattr(search, "_confirm", logged_confirm)
         terms = [_P2, _P1, _TIER_COMPOSITE, _MR_COMPOSITE]
         found, _ = _confirm_walk(monkeypatch, terms, [0, 1, 2])
         assert asked == [2]
-        assert sorted(x for _, x in started()) == sorted([_P1, _P2])
         assert [(r.index, r.p, r.q) for r in found] == [(1, _P2, _P1)]
         me = os.getpid()
         assert [x for pid, x in tier_calls() if pid == me] == []
-        assert [x for pid, x in tier_calls() if pid != me] == [_P2, _P1, _TIER_COMPOSITE]
+        assert sorted(x for pid, x in tier_calls() if pid != me) == sorted(
+            [_P2, _P1, _P1, _TIER_COMPOSITE, _TIER_COMPOSITE]
+        )
         assert sorted(x for _, x in prime_calls()) == sorted([_P1, _P2])
 
     def test_states_wait_for_the_pairs_before_them(self, monkeypatch):
@@ -586,26 +575,23 @@ class TestPooledConfirmation:
                    [0, 1, 2], []))
     # the record of the first pair arrives after the second pair starts
     @example(walk=([_P1, _P2, _MR_COMPOSITE, _TD_COMPOSITE, _TIER_COMPOSITE], [0, 2], [3]))
+    # two records share a term, and the later one arrives first
+    @example(walk=([_P2, _P1, _P2, _TD_COMPOSITE], [0, 1], [3]))
     def test_any_finish_order_settles_in_walk_order(self, walk):
         terms, indices, delays = walk
 
         def run(workers, pool):
-            # each pair as it joins the queue, with whether its first term
-            # is then known composite; each _confirm call; each is_prime call
-            calls = {"pair": [], "confirm": [], "is_prime": []}
+            # each _confirm call; each is_prime call
+            calls = {"confirm": [], "is_prime": []}
             with pytest.MonkeyPatch.context() as mp:
                 _forced_pool(mp, workers)
                 mp.setattr(multiprocessing, "get_context", lambda method: (
                     types.SimpleNamespace(Pool=lambda processes, initializer: pool)))
                 mp.setattr(search, "is_prime", lambda x, rounds=DEFAULT_ROUNDS: (
                     calls["is_prime"].append(x), _cached_is_prime(x, rounds))[1])
-                pair, confirm = search._Pair, search._confirm
-                mp.setattr(search, "_Pair", lambda index, prev, curr: (
-                    calls["pair"].append((prev.value, curr.value, prev.known_composite)),
-                    pair(index, prev, curr))[1])
-                mp.setattr(search, "_confirm", lambda prev, curr, m, rounds: (
-                    calls["confirm"].append((prev.value, curr.value)),
-                    confirm(prev, curr, m, rounds)))
+                confirm = search._confirm
+                mp.setattr(search, "_confirm", lambda m, rounds, p, q: (
+                    calls["confirm"].append((p, q)), confirm(m, rounds, p, q))[1])
                 found, states = _confirm_walk(mp, terms, indices)
             return found, states, calls
 
@@ -614,10 +600,7 @@ class TestPooledConfirmation:
         assert pooled == serial
         assert states == serial_states
         assert calls == serial_calls
-        assert len(calls["is_prime"]) == len(set(calls["is_prime"]))
-        # a pair after a known-composite shared term never reaches _confirm
-        for p, q, known_composite in calls["pair"]:
-            assert not (known_composite and (p, q) in calls["confirm"])
+        assert calls["confirm"] == [(terms[i], terms[i + 1]) for i in indices]
 
     def test_small_searches_import_no_process_modules(self):
         # the pool's modules are imported with the pool, and these
@@ -783,8 +766,8 @@ class TestResumeAcrossThePool:
         asked = _forced_pool(monkeypatch, 2)
         pairs = []
         add_pair = search._Confirmer.add_pair
-        monkeypatch.setattr(search._Confirmer, "add_pair", lambda self, i, prev, curr: (
-            pairs.append((i, prev.value)), add_pair(self, i, prev, curr)))
+        monkeypatch.setattr(search._Confirmer, "add_pair", lambda self, i, p, q: (
+            pairs.append((i, p)), add_pair(self, i, p, q)))
         states = []
         write = search.write_checkpoint
         monkeypatch.setattr(search, "write_checkpoint", lambda path, state: (
@@ -795,8 +778,7 @@ class TestResumeAcrossThePool:
         assert [i for i, x in pairs if x >= search._POOL_MIN] == list(_POOLED_700)
         # 3 | t_n exactly when 3 | n, and 3 is in _trial_primes(2), so of
         # three consecutive terms past t_3 = 3 one fails stage (a): no
-        # two candidate pairs after index 4 share a term, and no pair
-        # ever waits for a worker
+        # two candidate pairs after index 4 share a term
         late = [i for i, _ in pairs if i > 4]
         assert all(j - i > 1 for i, j in zip(late, late[1:]))
         assert records == serial_records
@@ -1013,22 +995,22 @@ class TestCheckpoints:
     def test_refuses_a_huge_exponent_without_building_its_divisor_sum(
         self, monkeypatch, tmp_path, run_cli
     ):
-        # (t_8, t_9) = (6673, 31971) is no quasisolution for m = 100000
-        path = tmp_path / "walk.ck"
-        path.write_text(
-            "sigma-chain-checkpoint v1\nm=100000\nn=9\nprev=6673\ncurr=31971\n",
-            encoding="ascii",
-        )
-
+        # (t_8, t_9) = (6673, 31971) is no quasisolution for these m
         def unbuilt(x, m):
             raise AssertionError(f"sigma({x}^{m}) built")
 
         monkeypatch.setattr(chains, "sigma_power", unbuilt)
-        with pytest.raises(CheckpointMismatch):
-            load_checkpoint(str(path))
-        assert run_cli(
-            "search", "--m", "2", "--digits", "20", "--checkpoint", str(path)
-        ) == (3, "")
+        for m in (100000, 10**9):
+            path = tmp_path / f"walk{m}.ck"
+            path.write_text(
+                f"sigma-chain-checkpoint v1\nm={m}\nn=9\nprev=6673\ncurr=31971\n",
+                encoding="ascii",
+            )
+            with pytest.raises(CheckpointMismatch):
+                load_checkpoint(str(path))
+            assert run_cli(
+                "search", "--m", "2", "--digits", "20", "--checkpoint", str(path)
+            ) == (3, "")
 
     @given(
         garbage=st.one_of(st.text(max_size=300).map(str.encode), st.binary(max_size=300))
