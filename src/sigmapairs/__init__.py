@@ -35,11 +35,7 @@ from .chains import (
     quadratic_identity_holds,
 )
 from .oracles import ORACLES, OracleReport
-from .residues import (
-    ResidueProfile,
-    check_residue_pattern,
-    residue_profile,
-)
+from .residues import ResidueProfile, residue_profile
 from .search import (
     PairRecord,
     SearchCheckpoint,

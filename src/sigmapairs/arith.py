@@ -62,25 +62,22 @@ _DETERMINISTIC_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
 def _sieve(limit: int, start: int = 2) -> tuple[int, ...]:
-    """The primes p with start <= p <= limit, ascending.
+    """The primes p with start <= p <= limit, ascending."""
+    odd_primes = _odd_primes(max(start, 3) | 1, limit)
+    return (2,) + odd_primes if start <= 2 <= limit else odd_primes
 
-    Only the odd numbers of the range are sieved.  A range from 2 or 3
-    finds its sieving primes, those up to isqrt(limit), in itself; any
-    other range takes them from one sieve from 2.
-    """
-    first_odd = max(start, 3) | 1
+
+def _odd_primes(first_odd: int, limit: int) -> tuple[int, ...]:
+    # Only the odd numbers of the range are sieved, by the odd primes up
+    # to isqrt(limit), which come from a sieve of their own.
     flags = bytearray(b"\x01") * max(0, (limit - first_odd) // 2 + 1)
-    own = first_odd == 3
     root = isqrt(limit)
-    for p in range(3, root + 1, 2) if own else _sieve(root, 3):
-        if own and not flags[(p - 3) // 2]:
-            continue
+    for p in _odd_primes(3, root) if root >= 3 else ():
         first = max(p * p, -(-first_odd // p) * p)
         if first % 2 == 0:
             first += p
         flags[(first - first_odd) // 2 :: p] = bytes(len(range(first, limit + 1, 2 * p)))
-    odd_primes = tuple(compress(range(first_odd, limit + 1, 2), flags))
-    return (2,) + odd_primes if start <= 2 <= limit else odd_primes
+    return tuple(compress(range(first_odd, limit + 1, 2), flags))
 
 
 _SMALL_PRIMES = _sieve(TRIAL_DIVISION_BOUND)

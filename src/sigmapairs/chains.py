@@ -68,22 +68,22 @@ def chain_next(state: ChainState) -> ChainState:
 
 
 def chain_terms(m: int, count: int, seed: tuple[int, int] = (1, 1)) -> list[int]:
-    """First ``count`` terms t_{m,1} .. t_{m,count} of the chain."""
+    """First ``count`` terms t_{m,1} .. t_{m,count} of the chain.
+
+    Only the seed is checked.  A step from a quasisolution (a, b) to
+    (b, c), c = sigma(b^m) / a, is integral and gives a quasisolution
+    again: a c = sigma(b^m) = 1 (mod b), so c is the inverse of a mod b
+    and sigma(c^m) = c^m sigma(a^m) = 0 (mod b).
+    """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if m < 1:
-        raise ValueError(f"exponent must be >= 1, got {m}")
     a, b = seed
-    if a < 1 or b < 1:
-        raise ValueError(f"seed terms must be positive, got {seed}")
     if not is_quasisolution(a, b, m):
         raise NonIntegralStep(f"seed {seed} is not a quasisolution for m={m}")
-    state = ChainState(m=m, n=2, prev=a, curr=b)
-    terms = [a, b][:count]
+    terms = [a, b]
     while len(terms) < count:
-        state = chain_next(state)
-        terms.append(state.curr)
-    return terms
+        terms.append(sigma_power(terms[-1], m) // terms[-2])
+    return terms[:count]
 
 
 def is_quasisolution(p: int, q: int, m: int = 2) -> bool:

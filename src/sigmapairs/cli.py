@@ -180,11 +180,6 @@ def _cmd_lemmas(args):
 def _cmd_certify(args):
     if not args.optimize and (args.ineqs is not None or args.objective is not None):
         raise UsageError("--ineqs and --objective apply to --optimize only")
-    if args.ineqs is not None:
-        with open(args.ineqs, encoding="ascii") as handle:
-            system = certify_mod.parse_inequalities(handle.read())
-    else:
-        system = certify_mod.known_inequalities()
     objective_text = args.objective
     if args.optimize and objective_text is None:
         objective_text = "1 1 1"
@@ -195,6 +190,11 @@ def _cmd_certify(args):
     }
 
     if args.optimize:
+        if args.ineqs is not None:
+            with open(args.ineqs, encoding="ascii") as handle:
+                system = certify_mod.parse_inequalities(handle.read())
+        else:
+            system = certify_mod.known_inequalities()
         tokens = objective_text.split()
         if len(tokens) != 3:
             raise ValueError(f"objective must be 'ca cb cc', got {objective_text!r}")
@@ -342,12 +342,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    started = time.perf_counter()
-    try:
+        started = time.perf_counter()
         params, results, text, status, discrepancies = args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

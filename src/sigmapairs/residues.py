@@ -2,28 +2,23 @@
 
 Consecutive terms satisfy 5pq = p^2 + q^2 + p + q + 1, so by Vieta
 t_{n+1} + t_{n-1} = 5 t_n - 1: the chain reduced mod any w >= 2 follows
-a division-free recurrence and is periodic.  The cycle carries a mirror
-symmetry coming from the time-reversibility of that recurrence; the
-mod 11 cycle 1,1,3,2,6,5,7,7,5,6,2,3 reads the same backwards about
-the repeated 7s.
+a division-free recurrence and is periodic.
 
-The chain also satisfies two exact congruence patterns: t_n = 1 (mod 4)
-and t_n = 1 (mod 3) whenever n is not a multiple of 3, while t_n = 0
-(mod 3) whenever n is one.
+One period settles a congruence law for every n.  The chain mod 12 has
+period 3 and cycle 1, 1, 3, so t_n = 1 (mod 12) when 3 does not divide
+n and t_n = 3 (mod 12) when it does.
+
+Every cycle is mirrored about one fixed axis, cycle[i] = cycle[1 - i]
+with indices mod the period, because the recurrence is time-reversible;
+the mod 11 cycle 1,1,3,2,6,5,7,7,5,6,2,3 reads the same backwards about
+the doubled 7s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chains import chain_terms
-
-__all__ = [
-    "ResiduePatternReport",
-    "ResidueProfile",
-    "check_residue_pattern",
-    "residue_profile",
-]
+__all__ = ["ResidueProfile", "residue_profile"]
 
 
 @dataclass(frozen=True)
@@ -35,13 +30,15 @@ class ResidueProfile:
 
 
 def _is_mirrored(cycle: tuple[int, ...]) -> bool:
-    # A reflection i -> (s - i) mod L maps the cycle to itself for some
-    # shift s; for mod 11 the axis sits between the doubled 7s.
+    """True iff cycle[i] == cycle[(1 - i) % L] for every i.
+
+    This is the only axis to test.  With S(a, b) = (b, 5b - a - 1) the
+    step on pairs mod w and R(a, b) = (b, a), R S R = S^-1.  R fixes the
+    start (1, 1), so R S^i (1, 1) = S^-i (1, 1): the pair (c_{i+1}, c_i)
+    equals (c_{-i}, c_{1-i}), which is c_{i+1} = c_{-i}.
+    """
     length = len(cycle)
-    return any(
-        all(cycle[i] == cycle[(s - i) % length] for i in range(length))
-        for s in range(length)
-    )
+    return all(cycle[i] == cycle[(1 - i) % length] for i in range(length))
 
 
 def residue_profile(w: int) -> ResidueProfile:
@@ -67,37 +64,3 @@ def residue_profile(w: int) -> ResidueProfile:
                 cycle=tuple(cycle),
                 palindromic=_is_mirrored(tuple(cycle)),
             )
-
-
-@dataclass(frozen=True)
-class ResiduePatternReport:
-    """Violations of the mod 4 / mod 3 congruence patterns among
-    t_1 .. t_{terms_checked}; expected empty."""
-
-    terms_checked: int
-    violations: tuple[tuple[int, str], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_residue_pattern(count_terms: int) -> ResiduePatternReport:
-    """Check t_n = 1 (mod 4) and (mod 3) for n not divisible by 3, and
-    t_n = 0 (mod 3) for n divisible by 3, using exact arithmetic."""
-    if count_terms < 6:
-        raise ValueError(f"need at least 6 terms, got {count_terms}")
-    terms = chain_terms(2, count_terms)
-    violations = []
-    for n, t in enumerate(terms, start=1):
-        if n % 3 == 0:
-            if t % 3 != 0:
-                violations.append((n, "mod3-exception"))
-        else:
-            if t % 4 != 1:
-                violations.append((n, "mod4"))
-            if t % 3 != 1:
-                violations.append((n, "mod3"))
-    return ResiduePatternReport(
-        terms_checked=count_terms, violations=tuple(violations)
-    )

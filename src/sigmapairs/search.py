@@ -5,9 +5,13 @@ bounded square-divisor probes.
 The m = 2 search walks the single chain 1, 1, 3, 13, ... testing
 consecutive terms for primality and emitting a record whenever both are
 (probably) prime; the only hits below 10**500 are (3, 13), (13, 61) and
-(22419767768701, 107419560853453).  Checkpoints are plain ASCII files
-written atomically so that interrupting and resuming reproduces the
-uninterrupted output byte for byte.
+(22419767768701, 107419560853453), at chain indices 3, 4 and 22.  The
+search needs m >= 2: every m = 1 chain has period 5 (1, 1, 2, 3, 2), so
+it never reaches a digits limit; ``chain`` and ``seeds`` still take
+m = 1, and ``lemmas --only p1q1`` covers the sigma_{1,1} pairs.
+Checkpoints are plain ASCII files written atomically so that
+interrupting and resuming reproduces the uninterrupted output byte for
+byte.
 
 Each pair (t_n, t_{n+1}) goes through four stages, cheapest first, and
 only a pair that passes one stage reaches the next:
@@ -26,14 +30,19 @@ only a pair that passes one stage reaches the next:
     yet divided) only when t_{n+1} survives.  So a term is divided only
     while a pair it belongs to can still be a candidate, and a term whose
     neighbours both fail is never divided: to 1000 digits, the m = 2 walk
-    divides 924 of its 1471 terms.
+    divides 924 of its 1471 terms.  A term fails only when a listed
+    prime is a proper factor of it.
 (b) Pairing: a pair is a candidate only when both terms survive (a).
 (c) A second trial-division tier on the terms of a candidate pair, t_n
     first: the admissible primes above 10**5 up to a bound B(x) that
-    grows with the term, about 1.8e6 * (digits / 1000)**1.7, where one
-    more prime costs as much as the Miller-Rabin round it is expected
-    to save.  The tier runs from about 190 digits on.  Its primes are
-    sieved on first use and kept as one product per segment.
+    grows with the term, about 1.8e6 * (digits / 1000)**1.7 rounded up
+    to whole segments of 2**15 integers.  At that bound one more prime
+    costs as much as the Miller-Rabin round it is expected to save, by
+    the costs measured in ``BENCH_10.json``.  The tier runs from about
+    190 digits on, where B passes 10**5, and B stays far below the term,
+    so a prime it finds is a proper factor.  Its primes are sieved
+    segment by segment on first use, and only one product per segment
+    is kept.
 (d) Confirmation: the full ``is_prime(x, rounds)``, first on t_n and
     then, if t_n is a probable prime, on t_{n+1}.  The verdicts in a
     :class:`PairRecord` come from this call.
@@ -42,11 +51,13 @@ The walk, (a) and (b) run in the searching process.  So do (c) and (d)
 for a pair whose t_n has fewer than ``_POOL_MIN_DIGITS`` (500) digits.
 A larger pair goes to a worker process, which runs (c) and (d) on it;
 the pool is forked at the first such pair, one worker per CPU the search
-may run on.  Just before the fork the searching process sieves (c) once,
-up to the bound of the largest term the walk can pair, so no worker
-sieves.  Every pair runs (c) and (d) in the searching process on one
-CPU, where ``fork`` is missing or while the caller runs other threads.
-The walk goes on while the workers test.
+may run on, and ended when the search returns or is interrupted.  Below
+500 digits one Miller-Rabin round costs less than starting the workers.
+Just before the fork the searching process sieves (c) once, up to the
+bound of the largest term the walk can pair, so no worker sieves.
+Every pair runs (c) and (d) in the searching process on one CPU, where
+``fork`` is missing or while the caller runs other threads.  The walk
+goes on while the workers test.
 
 Every stage rejects only composites, so the records equal those of a
 full test on every pair.  Stage (a) runs at most once per term.  Stages

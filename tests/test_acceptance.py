@@ -39,7 +39,6 @@ from sigmapairs.oracles import (
     oracle_sigma41,
     oracle_u_classification,
 )
-from sigmapairs.residues import check_residue_pattern
 
 
 def _report(number: int, description: str, ok: bool, elapsed: float, budget: float):
@@ -110,9 +109,13 @@ def test_criterion_05_residues(run_cli):
         cycle5[(n - 1) % 4] == (1 if n % 4 in (1, 2) else 3) for n in range(1, 30)
     )
 
-    ok = ok and check_residue_pattern(200).ok
-    _report(5, "mod 11 and mod 5 profiles plus 200-term congruence patterns",
-            ok, time.perf_counter() - started, 1.0)
+    # one period mod 12 gives t_n = 1 (mod 12) for 3 not dividing n and
+    # t_n = 3 (mod 12) for 3 | n, at every n
+    code12, out12 = run_cli("residues", "--mod", "12", "--json")
+    r12 = json_doc(out12)["results"]
+    ok = ok and code12 == 0 and r12["period"] == 3 and r12["cycle"] == ["1", "1", "3"]
+    _report(5, "mod 11 and mod 5 profiles; the mod 12 congruence patterns "
+            "hold for every n", ok, time.perf_counter() - started, 1.0)
 
 
 @pytest.mark.parametrize(

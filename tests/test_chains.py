@@ -16,6 +16,7 @@ from sigmapairs.chains import (
     is_quasisolution,
     quadratic_identity_holds,
 )
+from sigmapairs.search import enumerate_seeds
 
 from conftest import FIRST_TERMS
 
@@ -83,6 +84,21 @@ class TestChainSteps:
     def test_next_rejects_invalid_state(self):
         with pytest.raises(NonIntegralStep):
             chain_next(ChainState(m=2, n=4, prev=2, curr=5))
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_terms_equal_a_checked_walk(self, m):
+        # chain_terms checks only its seed; every step of the checked
+        # walk, which raises on a remainder, gives the same terms
+        seeds = enumerate_seeds(m, 200)
+        if m == 4:
+            seeds.append((101, 491))  # the one m = 4 seed above 200
+        for seed in seeds:
+            state = ChainState(m=m, n=2, prev=seed[0], curr=seed[1])
+            walk = [state.prev, state.curr]
+            while len(walk) < 200 and state.curr < 10**300:
+                state = chain_next(state)
+                walk.append(state.curr)
+            assert chain_terms(m, len(walk), seed=seed) == walk, seed
 
 
 class TestQuasisolutions:
