@@ -9,12 +9,14 @@ registry of recorded inequalities into derived bounds such as
 
     a + b + c <= (11/18) log N + (5/12) log 2 + (7/36) log 3,
 
-and a small exact LP (vertex enumeration over Fractions, no floating
-point anywhere) finds the multiplier vector minimizing the log N
-coefficient, breaking ties by the exact value of the constant term
-c2*log 2 + c3*log 3.  Where the recorded claims do not match the exact
-recombination, a discrepancy report is emitted instead of silently
-adopting either side.
+and an exact LP over Fractions finds the multiplier vector minimizing
+the log N coefficient, breaking ties by the exact value of the constant
+term c2*log 2 + c3*log 3.  In standard form, with a surplus per covering
+row, each candidate vertex is one 3x3 basis: a k x k tight-row system
+plus the other rows' surpluses, feasible exactly when that system has a
+nonnegative solution that covers every row (:func:`optimize` proves it).
+Where the recorded claims do not match the exact recombination, a
+discrepancy report is emitted instead of silently adopting either side.
 """
 
 from __future__ import annotations
@@ -197,22 +199,13 @@ def _cost_less(costa, costb) -> bool:
     return _constant_sign(costa[1] - costb[1], costa[2] - costb[2]) < 0
 
 
-def _solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]):
-    """Solve an exact k x k linear system; None when singular."""
-    k = len(rhs)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][k] for i in range(k)]
+def _det3(c0, c1, c2) -> Fraction:
+    """The triple product c0 . (c1 x c2): the 3x3 determinant by columns."""
+    return (
+        c0[0] * (c1[1] * c2[2] - c1[2] * c2[1])
+        + c0[1] * (c1[2] * c2[0] - c1[0] * c2[2])
+        + c0[2] * (c1[0] * c2[1] - c1[1] * c2[0])
+    )
 
 
 def _require_split_form(ineq: Inequality) -> None:
@@ -227,9 +220,16 @@ def optimize(ineqs: Sequence[Inequality], objective: LogLinearForm) -> Certifica
     coefficient-wise in (a, b, c), minimizing the combined log N
     coefficient and then the exact constant term.
 
-    Solved by enumerating basic solutions of the three covering
-    constraints over exact rationals; with at most three nonzero
-    multipliers per vertex this is a few hundred tiny solves.
+    Standard form: sum_j lambda_j lhs_j - s = need with lambda, s >= 0,
+    row r's surplus column -e_r costing nothing.  For k <= min(3, m), k
+    tight rows T, then a support S of k inequalities, the basis is S plus
+    the surplus columns of the rows N outside T, solved by Cramer's rule.
+    With rows permuted to (T, N) it is [[A_TS, 0], [A_NS, -I]]: singular
+    exactly when A_TS is, with lambda_S = A_TS^-1 need_T, and s_N =
+    A_NS lambda_S - need_N >= 0 exactly when the rows in N are covered.
+    So x >= 0 means lambda >= 0 covering every row, x's cost is lambda's,
+    and the first vertex of strictly least cost wins: the candidates and
+    their order are those of solving A_TS alone and then checking each row.
     """
     if not ineqs:
         raise ValueError("inequality list must be nonempty")
@@ -238,49 +238,33 @@ def optimize(ineqs: Sequence[Inequality], objective: LogLinearForm) -> Certifica
     for ineq in ineqs:
         _require_split_form(ineq)
 
+    # tableau columns: covering rows (ca, cb, cc), then cost rows (cn, c2, c3)
     m = len(ineqs)
-    rows = [
-        [iq.lhs.ca for iq in ineqs],
-        [iq.lhs.cb for iq in ineqs],
-        [iq.lhs.cc for iq in ineqs],
-    ]
-    need = [objective.ca, objective.cb, objective.cc]
-    costs = [(iq.rhs.cn, iq.rhs.c2, iq.rhs.c3) for iq in ineqs]
+    columns = [iq.lhs.coefficients()[:3] + iq.rhs.coefficients()[3:] for iq in ineqs]
+    surplus = [tuple(Fraction(-1 if r == s else 0) for s in range(6)) for r in range(3)]
+    need = (objective.ca, objective.cb, objective.cc)
 
-    best_cost = None
-    best_lambda = None
+    best_cost = best_vertex = None
     for k in range(0, min(3, m) + 1):
         for tight_rows in combinations(range(3), k):
+            slack = [surplus[r] for r in range(3) if r not in tight_rows]
             for support in combinations(range(m), k):
-                if k:
-                    matrix = [[rows[r][j] for j in support] for r in tight_rows]
-                    solution = _solve_square(matrix, [need[r] for r in tight_rows])
-                    if solution is None or any(x < 0 for x in solution):
-                        continue
-                else:
-                    solution = []
-                lam = [_ZERO] * m
-                for j, value in zip(support, solution):
-                    lam[j] = value
-                if any(
-                    sum(rows[r][j] * lam[j] for j in range(m)) < need[r]
-                    for r in range(3)
-                ):
+                basis = [columns[j] for j in support] + slack
+                det = _det3(*basis)
+                if not det:
                     continue
-                cost = (
-                    sum(costs[j][0] * lam[j] for j in range(m)),
-                    sum(costs[j][1] * lam[j] for j in range(m)),
-                    sum(costs[j][2] * lam[j] for j in range(m)),
-                )
+                x = [_det3(*basis[:i], need, *basis[i + 1:]) / det for i in range(3)]
+                if any(value < 0 for value in x):
+                    continue
+                cost = [sum(col[t] * v for col, v in zip(basis, x)) for t in (3, 4, 5)]
                 if best_cost is None or _cost_less(cost, best_cost):
-                    best_cost = cost
-                    best_lambda = lam
-    if best_lambda is None:
+                    best_cost, best_vertex = cost, dict(zip(support, x))
+    if best_vertex is None:
         raise Infeasible("objective is not covered by any nonnegative combination")
-    derived = combine(ineqs, best_lambda)
+    best_lambda = [best_vertex.get(j, _ZERO) for j in range(m)]
     return Certificate(
         multipliers=tuple((iq.label, lam) for iq, lam in zip(ineqs, best_lambda)),
-        derived=derived,
+        derived=combine(ineqs, best_lambda),
     )
 
 
@@ -394,23 +378,9 @@ def verify_known_combinations() -> tuple[list[CombinationCheck], list[Discrepanc
     for name, mults, exact_rhs, recorded_rhs in known_combinations():
         multipliers = [mults.get(iq.label, _ZERO) for iq in registry]
         derived = combine(registry, multipliers)
-        matches = (
-            derived.rhs == exact_rhs
-            and derived.lhs == form(ca=1, cb=1, cc=1)
-        )
-        checks.append(
-            CombinationCheck(
-                name=name,
-                multipliers=tuple(
-                    (iq.label, lam)
-                    for iq, lam in zip(registry, multipliers)
-                    if lam
-                ),
-                derived=derived,
-                expected_rhs=exact_rhs,
-                matches=matches,
-            )
-        )
+        used = tuple((iq.label, lam) for iq, lam in zip(registry, multipliers) if lam)
+        matches = derived.rhs == exact_rhs and derived.lhs == form(ca=1, cb=1, cc=1)
+        checks.append(CombinationCheck(name, used, derived, exact_rhs, matches))
         if recorded_rhs != exact_rhs:
             discrepancies.append(
                 Discrepancy(
@@ -477,8 +447,10 @@ def format_inequalities(ineqs: Iterable[Inequality]) -> str:
 
 def parse_inequalities(text: str) -> list[Inequality]:
     """Inverse of :func:`format_inequalities`; blank lines and lines
-    starting with '#' are skipped."""
+    starting with '#' are skipped.  Labels must be nonempty and distinct,
+    so that a certificate's label-keyed multipliers rebuild it."""
     result = []
+    seen: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -486,6 +458,11 @@ def parse_inequalities(text: str) -> list[Inequality]:
         label, _, rest = line.partition(":")
         if not _:
             raise ValueError(f"line {line_no}: missing ':' after label")
+        label = label.strip()
+        if not label or label in seen:
+            kind = "repeated" if label else "empty"
+            raise ValueError(f"line {line_no}: {kind} label {label!r}")
+        seen.add(label)
         lhs_part, sep, rhs_part = rest.partition("<=")
         if not sep:
             raise ValueError(f"line {line_no}: missing '<='")
@@ -495,6 +472,6 @@ def parse_inequalities(text: str) -> list[Inequality]:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {line_no}: bad coefficients: {exc}") from exc
         result.append(
-            _ineq(label.strip(), form(ca=ca, cb=cb, cc=cc), form(cn=cn, c2=c2, c3=c3))
+            _ineq(label, form(ca=ca, cb=cb, cc=cc), form(cn=cn, c2=c2, c3=c3))
         )
     return result

@@ -1,11 +1,14 @@
 """Brute-force verifiers for the small-case divisibility lemmas.
 
 Each oracle enumerates its solution set directly from the defining
-divisibility relations, with loops written here from scratch (no shared
-chain machinery), and compares against the frozen expected set.  A
-report with ``agrees=False`` means the enumeration found something the
-expected set does not predict, or vice versa; reports never hide
-counterexamples.
+divisibility relations, with loops written here from scratch, and
+compares against an expected set.  Most expected sets are frozen.  Two
+come from the sequences in :mod:`sigmapairs.chains`, so those oracles
+cross-check them: ``s_classification`` expects the adjacent terms of
+``generate_s``, and ``u_classification`` also requires every witness to
+be adjacent in the cycle of ``generate_u``.  A report with
+``agrees=False`` means the enumeration found something the expected set
+does not predict, or vice versa; reports never hide counterexamples.
 
 The oracles that turn on divisors of x^2+1 (``s_classification``) or
 of x^2+x+1 (``no_square_pair``, ``pqr``, ``linked``) read them from one

@@ -1,10 +1,13 @@
 from fractions import Fraction as F
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigmapairs.certify import (
+    Certificate,
+    Inequality,
     Infeasible,
     NegativeMultiplier,
     combine,
@@ -259,6 +262,101 @@ class TestOptimize:
             assert getattr(cert.derived.lhs, attr) >= getattr(objective, attr)
 
 
+# The covering LP by the tight-row enumeration: Gaussian elimination on
+# each k x k tight-row block, then a pass over every inequality for
+# coverage and cost.  optimize must match it certificate for certificate.
+def _reference_solve_square(matrix, rhs):
+    k = len(rhs)
+    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(k):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [aug[i][k] for i in range(k)]
+
+
+def _reference_optimize(ineqs, objective):
+    from sigmapairs.certify import _cost_less
+
+    m = len(ineqs)
+    rows = [[iq.lhs.ca for iq in ineqs], [iq.lhs.cb for iq in ineqs],
+            [iq.lhs.cc for iq in ineqs]]
+    need = [objective.ca, objective.cb, objective.cc]
+    costs = [(iq.rhs.cn, iq.rhs.c2, iq.rhs.c3) for iq in ineqs]
+    best_cost = best_lambda = None
+    for k in range(min(3, m) + 1):
+        for tight_rows in combinations(range(3), k):
+            for support in combinations(range(m), k):
+                matrix = [[rows[r][j] for j in support] for r in tight_rows]
+                solution = _reference_solve_square(
+                    matrix, [need[r] for r in tight_rows]
+                )
+                if solution is None or any(x < 0 for x in solution):
+                    continue
+                lam = [F(0)] * m
+                for j, value in zip(support, solution):
+                    lam[j] = value
+                if any(sum(rows[r][j] * lam[j] for j in range(m)) < need[r]
+                       for r in range(3)):
+                    continue
+                cost = [sum(costs[j][t] * lam[j] for j in range(m)) for t in range(3)]
+                if best_cost is None or _cost_less(cost, best_cost):
+                    best_cost, best_lambda = cost, lam
+    if best_lambda is None:
+        raise Infeasible("no covering combination")
+    return Certificate(
+        multipliers=tuple((iq.label, lam) for iq, lam in zip(ineqs, best_lambda)),
+        derived=combine(ineqs, best_lambda),
+    )
+
+
+def _outcome(solver, ineqs, objective):
+    try:
+        return solver(ineqs, objective)
+    except Infeasible:
+        return Infeasible
+
+
+class TestOptimizeMatchesReference:
+    """The standard-form bases visit the same candidates in the same order
+    as the tight-row enumeration, so even ties pick the same certificate."""
+
+    @pytest.mark.parametrize("ca, cb, cc", list(product(range(-1, 4), repeat=3)))
+    def test_every_small_objective_over_the_registry(self, ca, cb, cc):
+        registry = known_inequalities()
+        objective = form(ca=ca, cb=cb, cc=cc)
+        assert _outcome(optimize, registry, objective) == _outcome(
+            _reference_optimize, registry, objective
+        )
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_systems(self, data):
+        # small coefficients and 0/1 costs make ties and degenerate bases
+        # common, and ties are where the visiting order decides
+        coeff = st.integers(-1, 2)
+        cost = st.integers(0, 1)
+        system = [
+            Inequality(
+                lhs=form(ca=data.draw(coeff), cb=data.draw(coeff), cc=data.draw(coeff)),
+                rhs=form(cn=data.draw(cost), c2=data.draw(cost), c3=data.draw(cost)),
+                label=f"r{i}",
+            )
+            for i in range(data.draw(st.integers(1, 8)))
+        ]
+        objective = form(*(data.draw(st.integers(-1, 2)) for _ in range(3)))
+        assert _outcome(optimize, system, objective) == _outcome(
+            _reference_optimize, system, objective
+        )
+
+
 class TestVerification:
     def test_all_recorded_combinations_reproduce_exactly(self):
         checks, _ = verify_known_combinations()
@@ -322,3 +420,13 @@ class TestInequalityFiles:
     def test_rejects_malformed_lines(self, bad):
         with pytest.raises(ValueError):
             parse_inequalities(bad + "\n")
+
+    def test_rejects_empty_label(self):
+        with pytest.raises(ValueError, match="line 2: empty label ''"):
+            parse_inequalities("x: 0 1 0 <= 1 0 0\n  : 0 1 0 <= 1 0 0\n")
+
+    def test_rejects_repeated_label(self):
+        # two lines labelled x would print one multiplier for x, and the
+        # label-keyed certificate could not rebuild its own bound
+        with pytest.raises(ValueError, match="line 3: repeated label 'x'"):
+            parse_inequalities("x: 0 1 0 <= 1 0 0\n\nx : 0 0 1 <= 1 0 0\n")

@@ -356,6 +356,19 @@ class TestCertifyCommand:
         assert json_doc(verify)["params"]["objective"] is None
         assert json_doc(optimize)["params"]["objective"] == "1 1 1"
 
+    @pytest.mark.parametrize(
+        "text",
+        ["x: 0 1 0 <= 1 0 0\nx: 0 0 1 <= 1 0 0\n", ": 0 1 0 <= 1 0 0\n"],
+        ids=["repeated", "empty"],
+    )
+    def test_unusable_label_is_precondition_error(self, run_cli, tmp_path, text):
+        path = tmp_path / "system.ineq"
+        path.write_text(text)
+        code, out = run_cli(
+            "certify", "--optimize", "--objective", "0 1 1", "--ineqs", str(path), "--json"
+        )
+        assert (code, out) == (2, "")
+
     def test_infeasible_system_is_precondition_error(self, run_cli, tmp_path):
         path = tmp_path / "system.ineq"
         path.write_text("b-c: 0 1 -1 <= 0 0 0\n")

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from sigmapairs.arith import small_primes
 from sigmapairs.chains import chain_terms
 from sigmapairs.residues import residue_profile
 
@@ -94,6 +95,22 @@ class TestResidueProfile:
             a, b = mod21[n - 1], mod21[n % len(mod21)]
             law = (3 if n % 3 == 1 else 1) * (7 if n % 14 == 8 else 1)
             assert math.gcd(sigma(a), sigma(b), 21) == law, n
+
+    def test_prime_period_law(self):
+        # s_n = 3 t_n - 1 follows s_{n+1} = 5 s_n - s_{n-1}, whose roots
+        # alpha, 1/alpha = (5 +- sqrt 21)/2 have alpha^(p - (21/p)) = 1
+        # mod p once p does not divide 2 * 3 * 7.  So the period of t_n
+        # mod p divides p - (21/p).  t_n = 0 says s_n = A alpha^n +
+        # B alpha^-n = -1, a quadratic in alpha^n, and alpha^n takes each
+        # value at most once per period: at most two zeros.
+        assert [residue_profile(p).period for p in (2, 3, 7)] == [1, 3, 14]
+        for p in small_primes(3000):
+            if p in (2, 3, 7):
+                continue
+            profile = residue_profile(p)
+            legendre = 1 if pow(21, (p - 1) // 2, p) == 1 else -1
+            assert (p - legendre) % profile.period == 0, p
+            assert profile.cycle.count(0) <= 2, p
 
     def test_cycle_reproduces_on_second_period(self):
         profile = residue_profile(11)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -867,7 +868,7 @@ class TestCheckpoints:
             path,
             SearchCheckpoint(m=2, n=5, prev=13, curr=61, found=()),
         )
-        content = open(path, encoding="ascii").read()
+        content = Path(path).read_text(encoding="ascii")
         assert content == "sigma-chain-checkpoint v1\nm=2\nn=5\nprev=13\ncurr=61\n"
 
     def test_pair_lines_rehydrate_verdicts(self, tmp_path):
@@ -875,7 +876,7 @@ class TestCheckpoints:
         path_text = (
             "sigma-chain-checkpoint v1\nm=2\nn=5\nprev=13\ncurr=61\npair 3 3 13\n"
         )
-        open(path, "w", encoding="ascii").write(path_text)
+        Path(path).write_text(path_text, encoding="ascii")
         loaded = load_checkpoint(path)
         (record,) = loaded.found
         assert (record.index, record.p, record.q) == (3, 3, 13)
@@ -885,19 +886,19 @@ class TestCheckpoints:
 
     def test_rejects_unknown_version(self, tmp_path):
         path = str(tmp_path / "walk.ck")
-        open(path, "w").write("sigma-chain-checkpoint v2\nm=2\n")
+        Path(path).write_text("sigma-chain-checkpoint v2\nm=2\n")
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
     def test_rejects_garbled_fields(self, tmp_path):
         path = str(tmp_path / "walk.ck")
-        open(path, "w").write("sigma-chain-checkpoint v1\nm=2\nn=x\n")
+        Path(path).write_text("sigma-chain-checkpoint v1\nm=2\nn=x\n")
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
     def test_rejects_invariant_violation(self, tmp_path):
         path = str(tmp_path / "walk.ck")
-        open(path, "w").write(
+        Path(path).write_text(
             "sigma-chain-checkpoint v1\nm=2\nn=5\nprev=14\ncurr=61\n"
         )
         with pytest.raises(CheckpointMismatch):
@@ -905,7 +906,7 @@ class TestCheckpoints:
 
     def test_rejects_composite_recorded_pair(self, tmp_path):
         path = str(tmp_path / "walk.ck")
-        open(path, "w").write(
+        Path(path).write_text(
             "sigma-chain-checkpoint v1\nm=2\nn=6\nprev=61\ncurr=291\npair 4 61 291\n"
         )
         with pytest.raises(CheckpointMismatch):
@@ -913,7 +914,7 @@ class TestCheckpoints:
 
     def test_rejects_duplicated_pair_line(self, tmp_path):
         path = str(tmp_path / "walk.ck")
-        open(path, "w").write(
+        Path(path).write_text(
             "sigma-chain-checkpoint v1\nm=2\nn=6\nprev=61\ncurr=291\n"
             "pair 3 3 13\npair 3 3 13\n"
         )
@@ -924,7 +925,7 @@ class TestCheckpoints:
     def test_rejects_pair_index_outside_the_walk(self, tmp_path, index):
         # at n = 5 the walk has recorded at most the pair at index 3
         path = str(tmp_path / "walk.ck")
-        open(path, "w").write(
+        Path(path).write_text(
             f"sigma-chain-checkpoint v1\nm=2\nn=5\nprev=13\ncurr=61\npair {index} 3 13\n"
         )
         with pytest.raises(CheckpointMismatch):
