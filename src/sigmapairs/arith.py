@@ -28,6 +28,7 @@ import functools
 import hashlib
 import sys
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
@@ -109,6 +110,31 @@ class _BlockTrialDivisor:
             if g > 1:
                 return next(p for p in block if g % p == 0)
         return None
+
+    def exponents(self, x: int) -> dict[int, int]:
+        """The exponent in ``x > 0`` of each of the primes dividing it.
+
+        Only the primes of a block's gcd are divided out, so a value
+        costs one ``gcd`` per block plus a remainder per block prime up
+        to the last one found."""
+        found = {}
+        for product, block in self._blocks:
+            g = gcd(product, x)
+            if g == 1:
+                continue
+            for p in block:
+                if g % p == 0:
+                    exponent = 0
+                    while x % p == 0:
+                        x //= p
+                        exponent += 1
+                    found[p] = exponent
+                    g //= p
+                    if g == 1:
+                        break
+            if x == 1:
+                break
+        return found
 
 
 @functools.cache
@@ -231,26 +257,21 @@ def bounded_square_part(x: int, trial_bound: int) -> int:
 
     This is a lower bound for the true largest square divisor of x:
     square factors supported on primes above ``trial_bound`` are not
-    seen.
+    seen.  The dividing primes are found by block gcd, as in
+    :func:`is_prime`'s trial division, and only they are divided out.
     """
     if x < 1:
         raise ValueError(f"expected a positive integer, got {x}")
     if trial_bound < 2:
         raise ValueError(f"trial bound must be >= 2, got {trial_bound}")
-    return _square_part(x, small_primes(trial_bound))
+    return _square_part(_BlockTrialDivisor(small_primes(trial_bound)).exponents(x))
 
 
-def _square_part(x: int, primes: tuple[int, ...]) -> int:
-    """:func:`bounded_square_part` with the primes up to the trial bound
-    given, so that a caller probing many values sieves them once."""
-    square = 1
-    rest = x
-    for p in primes:
-        if p * p > rest:
-            break
-        exponent = 0
-        while rest % p == 0:
-            rest //= p
-            exponent += 1
-        square *= p ** (2 * (exponent // 2))
-    return square
+def _square_part(*exponents: dict[int, int]) -> int:
+    """The largest square dividing the product of values given by their
+    prime exponents (see :meth:`_BlockTrialDivisor.exponents`); a caller
+    probing products of values factors each value once."""
+    total = Counter()
+    for counts in exponents:
+        total.update(counts)
+    return prod(p ** (e - e % 2) for p, e in total.items())

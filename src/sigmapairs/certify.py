@@ -9,12 +9,15 @@ registry of recorded inequalities into derived bounds such as
 
     a + b + c <= (11/18) log N + (5/12) log 2 + (7/36) log 3,
 
-and an exact LP over Fractions finds the multiplier vector minimizing
-the log N coefficient, breaking ties by the exact value of the constant
-term c2*log 2 + c3*log 3.  In standard form, with a surplus per covering
+and an exact LP finds the multiplier vector minimizing the log N
+coefficient, breaking ties by the exact value of the constant term
+c2*log 2 + c3*log 3.  In standard form, with a surplus per covering
 row, each candidate vertex is one 3x3 basis: a k x k tight-row system
 plus the other rows' surpluses, feasible exactly when that system has a
 nonnegative solution that covers every row (:func:`optimize` proves it).
+With each column scaled by the lcm of its denominators, every
+determinant of Cramer's rule is an integer; Fractions are built only for
+a feasible vertex's cost and the multipliers of the optimum.
 Where the recorded claims do not match the exact recombination, a
 discrepancy report is emitted instead of silently adopting either side.
 """
@@ -24,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -199,13 +203,19 @@ def _cost_less(costa, costb) -> bool:
     return _constant_sign(costa[1] - costb[1], costa[2] - costb[2]) < 0
 
 
-def _det3(c0, c1, c2) -> Fraction:
+def _det3(c0, c1, c2) -> int:
     """The triple product c0 . (c1 x c2): the 3x3 determinant by columns."""
     return (
         c0[0] * (c1[1] * c2[2] - c1[2] * c2[1])
         + c0[1] * (c1[2] * c2[0] - c1[0] * c2[2])
         + c0[2] * (c1[0] * c2[1] - c1[1] * c2[0])
     )
+
+
+def _integral(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(L, L*values) for L the lcm of the values' denominators."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
 def _require_split_form(ineq: Inequality) -> None:
@@ -230,6 +240,13 @@ def optimize(ineqs: Sequence[Inequality], objective: LogLinearForm) -> Certifica
     So x >= 0 means lambda >= 0 covering every row, x's cost is lambda's,
     and the first vertex of strictly least cost wins: the candidates and
     their order are those of solving A_TS alone and then checking each row.
+
+    Exact integers: column j is scaled by L_j > 0 and need by L > 0, the
+    lcms of their denominators.  Cramer's rule on the scaled basis gives
+    y_i = D_i / D with integer determinants, D = 0 exactly when the
+    unscaled basis is singular, and x_i = y_i L_i / L.  So x >= 0 is
+    D_i * D >= 0 for every i, and the cost row t is
+    sum_i C_ti D_i / (D L) over the scaled columns C.
     """
     if not ineqs:
         raise ValueError("inequality list must be nonempty")
@@ -240,9 +257,11 @@ def optimize(ineqs: Sequence[Inequality], objective: LogLinearForm) -> Certifica
 
     # tableau columns: covering rows (ca, cb, cc), then cost rows (cn, c2, c3)
     m = len(ineqs)
-    columns = [iq.lhs.coefficients()[:3] + iq.rhs.coefficients()[3:] for iq in ineqs]
-    surplus = [tuple(Fraction(-1 if r == s else 0) for s in range(6)) for r in range(3)]
-    need = (objective.ca, objective.cb, objective.cc)
+    scales, columns = zip(*(
+        _integral(iq.lhs.coefficients()[:3] + iq.rhs.coefficients()[3:]) for iq in ineqs
+    ))
+    surplus = [tuple(-1 if r == s else 0 for s in range(6)) for r in range(3)]
+    need_scale, need = _integral((objective.ca, objective.cb, objective.cc))
 
     best_cost = best_vertex = None
     for k in range(0, min(3, m) + 1):
@@ -253,15 +272,25 @@ def optimize(ineqs: Sequence[Inequality], objective: LogLinearForm) -> Certifica
                 det = _det3(*basis)
                 if not det:
                     continue
-                x = [_det3(*basis[:i], need, *basis[i + 1:]) / det for i in range(3)]
-                if any(value < 0 for value in x):
+                # y_i = dets[i] / det solves the scaled basis
+                dets = [_det3(*basis[:i], need, *basis[i + 1:]) for i in range(3)]
+                if det < 0:
+                    det, dets = -det, [-d for d in dets]
+                if any(d < 0 for d in dets):
                     continue
-                cost = [sum(col[t] * v for col, v in zip(basis, x)) for t in (3, 4, 5)]
+                denominator = det * need_scale
+                cost = [
+                    Fraction(sum(columns[j][t] * d for j, d in zip(support, dets)), denominator)
+                    for t in (3, 4, 5)
+                ]
                 if best_cost is None or _cost_less(cost, best_cost):
-                    best_cost, best_vertex = cost, dict(zip(support, x))
+                    best_cost, best_vertex = cost, (support, dets, denominator)
     if best_vertex is None:
         raise Infeasible("objective is not covered by any nonnegative combination")
-    best_lambda = [best_vertex.get(j, _ZERO) for j in range(m)]
+    support, dets, denominator = best_vertex
+    best_lambda = [_ZERO] * m
+    for j, d in zip(support, dets):
+        best_lambda[j] = Fraction(d * scales[j], denominator)
     return Certificate(
         multipliers=tuple((iq.label, lam) for iq, lam in zip(ineqs, best_lambda)),
         derived=combine(ineqs, best_lambda),

@@ -132,16 +132,20 @@ def _quadratic_factors(b: int, bound: int) -> Iterator[tuple[int, list[int]]]:
         yield x, factors
 
 
-def _divisors(factors: list[int]) -> list[int]:
-    """All divisors of the product of a factor list whose equal primes
-    are adjacent."""
+def _divisors(factors: list[int], bound: int) -> list[int]:
+    """The divisors up to ``bound`` of the product of a factor list whose
+    equal primes are adjacent."""
     divisors = [1]
     run: list[int] = []
-    for i, p in enumerate(factors):
-        # a repeated prime raises only the divisors its last copy made
-        base = run if i and p == factors[i - 1] else divisors
-        run = [d * p for d in base]
+    previous = 0
+    for p in factors:
+        # a repeated prime raises only the divisors its last copy made;
+        # a divisor above the bound has only multiples above it, so a
+        # factor above the bound adds none
+        base = run if p == previous else divisors
+        run = [d for e in base if (d := e * p) <= bound]
         divisors += run
+        previous = p
     return divisors
 
 
@@ -258,13 +262,13 @@ def oracle_sigma41(bound: int) -> OracleReport:
 
 def oracle_p1q1(bound: int) -> OracleReport:
     """Positive p, q <= bound with p | q+1 and q | p+1; exactly
-    {(1,1), (1,2), (2,1), (2,3), (3,2)}."""
+    {(1,1), (1,2), (2,1), (2,3), (3,2)}.
+
+    q | p+1 with p+1 > 0 forces q <= p+1, so no q above it is tried."""
     witnesses = []
     for p in range(1, bound + 1):
-        for k in range(1, (bound + 1) // p + 2):
-            q = k * p - 1
-            if q > bound:
-                break
+        # p | q+1 means q = kp - 1
+        for q in range(p - 1, min(bound, p + 1) + 1, p):
             if q >= 1 and (p + 1) % q == 0:
                 witnesses.append((p, q))
     expected = [
@@ -277,12 +281,15 @@ def oracle_p1q1(bound: int) -> OracleReport:
 
 def oracle_s_classification(bound: int) -> OracleReport:
     """Pairs x <= y <= bound with x | y^2+1 and y | x^2+1 are exactly
-    the consecutive pairs of the s sequence (odd-index Fibonaccis)."""
+    the consecutive pairs of the s sequence (odd-index Fibonaccis).
+
+    y is a divisor of x^2+1 no larger than the bound, so divisors above
+    the bound, and with them their multiples, are never formed."""
     witnesses = [
         (x, y)
         for x, factors in _quadratic_factors(0, bound)
-        for y in _divisors(factors)
-        if x <= y <= bound and (y * y + 1) % x == 0
+        for y in _divisors(factors, bound)
+        if x <= y and (y * y + 1) % x == 0
     ]
     s_terms = generate_s(60)
     expected = [
@@ -299,14 +306,15 @@ _U_SOLUTIONS = ((1, 1), (1, 2), (2, 1), (2, 5), (3, 2), (3, 5))
 def oracle_u_classification(bound: int) -> OracleReport:
     """Pairs (a, b) <= bound with b | a^2+1 and a | b+1 all come from
     adjacent terms of the periodic u cycle 1,1,2,3,5,2 (read in either
-    direction)."""
+    direction).
+
+    b | a^2+1 with a^2+1 > 0 forces b <= a^2+1, so no b above it is
+    tried."""
     witnesses = []
     for a in range(1, bound + 1):
         value = a * a + 1
-        for k in range(1, (bound + 1) // a + 2):
-            b = k * a - 1
-            if b > bound:
-                break
+        # a | b+1 means b = ka - 1
+        for b in range(a - 1, min(bound, value) + 1, a):
             if b >= 1 and value % b == 0:
                 witnesses.append((a, b))
     expected = [(a, b) for a, b in _U_SOLUTIONS if a <= bound and b <= bound]

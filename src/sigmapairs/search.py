@@ -688,22 +688,22 @@ class SquareProbeRow:
 def square_divisor_probe(n_terms: int, trial_bound: int) -> list[SquareProbeRow]:
     """For n = 1 .. n_terms, probe t_n^2 + t_n + 1 and
     (t_n^2 + t_n + 1)(t_{n+1}^2 + t_{n+1} + 1) for square divisors
-    supported on primes <= trial_bound."""
+    supported on primes <= trial_bound.
+
+    Each sigma value, for n = 1 .. n_terms + 1, is factored over those
+    primes once, by block gcd; the product's square part comes from the
+    summed exponents of its two values."""
     if n_terms < 3:
         raise ValueError(f"need at least 3 terms, got {n_terms}")
     if trial_bound < 2:
         raise ValueError(f"trial bound must be >= 2, got {trial_bound}")
-    primes = small_primes(trial_bound)
-    terms = chain_terms(2, n_terms + 1)
-    rows = []
-    for n in range(1, n_terms + 1):
-        value = terms[n - 1] ** 2 + terms[n - 1] + 1
-        partner = terms[n] ** 2 + terms[n] + 1
-        rows.append(
-            SquareProbeRow(
-                n=n,
-                l_lower=_square_part(value, primes),
-                s_lower=_square_part(value * partner, primes),
-            )
+    divisor = _BlockTrialDivisor(small_primes(trial_bound))
+    exponents = [divisor.exponents(t * t + t + 1) for t in chain_terms(2, n_terms + 1)]
+    return [
+        SquareProbeRow(
+            n=n,
+            l_lower=_square_part(exponents[n - 1]),
+            s_lower=_square_part(exponents[n - 1], exponents[n]),
         )
-    return rows
+        for n in range(1, n_terms + 1)
+    ]

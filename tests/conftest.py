@@ -35,6 +35,23 @@ UNUSABLE_CHECKPOINTS = [
 ]
 
 
+def reference_square_part(x, primes):
+    """The largest square dividing x whose root has all its prime factors
+    in ``primes`` (ascending), by one remainder per prime: the loop that
+    block-gcd factoring replaced, kept as a reference."""
+    square = 1
+    rest = x
+    for p in primes:
+        if p * p > rest:
+            break
+        exponent = 0
+        while rest % p == 0:
+            rest //= p
+            exponent += 1
+        square *= p ** (2 * (exponent // 2))
+    return square
+
+
 @pytest.fixture(autouse=True)
 def no_worker_left_running():
     """Fail a test that leaves a child process running, such as the

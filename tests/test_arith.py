@@ -17,6 +17,8 @@ from sigmapairs.arith import (
     small_primes,
 )
 
+from conftest import reference_square_part
+
 
 class TestSmallPrimes:
     @pytest.mark.parametrize("bound", [0, 1, 2, 3, 1000, 10**5, 10**5 + 100])
@@ -334,6 +336,23 @@ class TestBoundedSquarePart:
             if p * p > rest:
                 break
             assert rest % (p * p) != 0
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_prime_trial_division(self, data):
+        # prime bounds put p equal to the bound; the primes just above it
+        # must stay unseen, and above 10**5 the primes come from a new sieve
+        bound = data.draw(
+            st.sampled_from([2, 3, 7, 97, 1009, 99991, 10**5, 100003, 2 * 10**5])
+        )
+        primes = small_primes(bound)
+        edge = (primes[-1], *small_primes(bound + 100)[len(primes):][:2])
+        powers = data.draw(st.lists(
+            st.tuples(st.sampled_from(primes) | st.sampled_from(edge), st.integers(1, 5)),
+            max_size=6,
+        ))
+        x = math.prod(p**e for p, e in powers) * data.draw(st.integers(10**30, 10**60))
+        assert bounded_square_part(x, bound) == reference_square_part(x, primes)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

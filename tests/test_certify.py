@@ -357,6 +357,93 @@ class TestOptimizeMatchesReference:
         )
 
 
+def _fraction_det3(c0, c1, c2):
+    return (
+        c0[0] * (c1[1] * c2[2] - c1[2] * c2[1])
+        + c0[1] * (c1[2] * c2[0] - c1[0] * c2[2])
+        + c0[2] * (c1[0] * c2[1] - c1[1] * c2[0])
+    )
+
+
+def _fraction_cramer_optimize(ineqs, objective):
+    """The standard-form enumeration with every determinant, basis value
+    and cost taken over Fractions: what the integer kernel replaced."""
+    from sigmapairs.certify import _cost_less
+
+    m = len(ineqs)
+    columns = [iq.lhs.coefficients()[:3] + iq.rhs.coefficients()[3:] for iq in ineqs]
+    surplus = [tuple(F(-1 if r == s else 0) for s in range(6)) for r in range(3)]
+    need = (objective.ca, objective.cb, objective.cc)
+    best_cost = best_vertex = None
+    for k in range(0, min(3, m) + 1):
+        for tight_rows in combinations(range(3), k):
+            slack = [surplus[r] for r in range(3) if r not in tight_rows]
+            for support in combinations(range(m), k):
+                basis = [columns[j] for j in support] + slack
+                det = _fraction_det3(*basis)
+                if not det:
+                    continue
+                x = [_fraction_det3(*basis[:i], need, *basis[i + 1:]) / det for i in range(3)]
+                if any(value < 0 for value in x):
+                    continue
+                cost = [sum(col[t] * v for col, v in zip(basis, x)) for t in (3, 4, 5)]
+                if best_cost is None or _cost_less(cost, best_cost):
+                    best_cost, best_vertex = cost, dict(zip(support, x))
+    if best_vertex is None:
+        raise Infeasible("no covering combination")
+    best_lambda = [best_vertex.get(j, F(0)) for j in range(m)]
+    return Certificate(
+        multipliers=tuple((iq.label, lam) for iq, lam in zip(ineqs, best_lambda)),
+        derived=combine(ineqs, best_lambda),
+    )
+
+
+class TestIntegerKernelMatchesFractionCramer:
+    """Scaling each column by the lcm of its denominators keeps every
+    determinant's sign and every vertex's exact values, so the integer
+    kernel returns the Fraction kernel's certificate, ties included."""
+
+    @pytest.mark.parametrize("ca, cb, cc", list(product(range(-1, 4), repeat=3)))
+    def test_every_small_objective_over_the_registry(self, ca, cb, cc):
+        registry = known_inequalities()
+        objective = form(ca=ca, cb=cb, cc=cc)
+        assert _outcome(optimize, registry, objective) == _outcome(
+            _fraction_cramer_optimize, registry, objective
+        )
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_systems_with_small_denominators(self, data):
+        coeff = st.builds(F, st.integers(-3, 3), st.integers(1, 4))
+        cost = st.builds(F, st.integers(0, 2), st.integers(1, 3))
+        system = [
+            Inequality(
+                lhs=form(ca=data.draw(coeff), cb=data.draw(coeff), cc=data.draw(coeff)),
+                rhs=form(cn=data.draw(cost), c2=data.draw(cost), c3=data.draw(cost)),
+                label=f"r{i}",
+            )
+            for i in range(data.draw(st.integers(1, 8)))
+        ]
+        objective = form(*(data.draw(coeff) for _ in range(3)))
+        assert _outcome(optimize, system, objective) == _outcome(
+            _fraction_cramer_optimize, system, objective
+        )
+
+    @pytest.mark.parametrize("lhs, objective", [
+        ([(0, 1, 0)], (1, 0, 0)),
+        ([(F(-1, 2), 0, 0), (0, F(2, 3), 0)], (F(1, 3), F(1, 5), 0)),
+        ([(1, -1, 0), (0, 1, -1)], (0, 0, F(1, 7))),
+    ])
+    def test_infeasible_from_both(self, lhs, objective):
+        system = [
+            Inequality(lhs=form(*coeffs), rhs=form(cn=1), label=f"r{i}")
+            for i, coeffs in enumerate(lhs)
+        ]
+        target = form(*objective)
+        assert _outcome(optimize, system, target) is Infeasible
+        assert _outcome(_fraction_cramer_optimize, system, target) is Infeasible
+
+
 class TestVerification:
     def test_all_recorded_combinations_reproduce_exactly(self):
         checks, _ = verify_known_combinations()

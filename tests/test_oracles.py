@@ -276,6 +276,31 @@ def _reference_s_classification(bound):
     return witnesses
 
 
+def _reference_p1q1(bound):
+    witnesses = []
+    for p in range(1, bound + 1):
+        for k in range(1, (bound + 1) // p + 2):
+            q = k * p - 1
+            if q > bound:
+                break
+            if q >= 1 and (p + 1) % q == 0:
+                witnesses.append((p, q))
+    return witnesses
+
+
+def _reference_u_classification(bound):
+    witnesses = []
+    for a in range(1, bound + 1):
+        value = a * a + 1
+        for k in range(1, (bound + 1) // a + 2):
+            b = k * a - 1
+            if b > bound:
+                break
+            if b >= 1 and value % b == 0:
+                witnesses.append((a, b))
+    return witnesses
+
+
 _CHECKED_BOUNDS = [*range(-1, 501), 1000, 3001, 10**4]
 
 
@@ -311,3 +336,19 @@ class TestSievedOraclesMatchTheDoubleLoops:
     def test_sigma22_prime_pairs(self):
         for bound in _CHECKED_BOUNDS:
             assert _sigma22_prime_pairs(bound) == _reference_sigma22_prime_pairs(bound), bound
+
+
+class TestCappedLoopsMatchTheDoubleLoops:
+    """p1q1 and u_classification stop each inner loop where the second
+    divisibility caps the partner; the uncapped loops are the reference."""
+
+    @pytest.mark.parametrize(
+        "oracle, reference",
+        [(oracle_p1q1, _reference_p1q1), (oracle_u_classification, _reference_u_classification)],
+        ids=["p1q1", "u_classification"],
+    )
+    def test_reports(self, oracle, reference):
+        for bound in _CHECKED_BOUNDS:
+            report = oracle(bound)
+            assert report.witnesses == tuple(sorted(set(reference(bound)))), bound
+            assert report.bound == bound

@@ -38,6 +38,7 @@ from sigmapairs.search import (
     CheckpointMismatch,
     PairRecord,
     SearchCheckpoint,
+    SquareProbeRow,
     enumerate_seeds,
     heuristic_tail,
     heuristic_tail_parts,
@@ -48,7 +49,7 @@ from sigmapairs.search import (
     write_checkpoint,
 )
 
-from conftest import KNOWN_PAIRS, UNUSABLE_CHECKPOINTS
+from conftest import KNOWN_PAIRS, UNUSABLE_CHECKPOINTS, reference_square_part
 
 
 class TestSearchPairs:
@@ -1190,6 +1191,24 @@ class TestSquareDivisorProbe:
             partner = terms[row.n] ** 2 + terms[row.n] + 1
             assert row.l_lower == plain_square_part(value)
             assert row.s_lower == plain_square_part(value * partner)
+
+    @pytest.mark.parametrize("trial_bound", [2, 3, 7, 97, 10**4, 10**5, 2 * 10**5])
+    def test_matches_per_prime_trial_division(self, trial_bound):
+        # the rows of K terms are the first K rows of 40, so one reference
+        # of 40 rows, each value and product trial-divided by every prime,
+        # checks every K
+        primes = _plain_primes(trial_bound)
+        sigmas = [t * t + t + 1 for t in chain_terms(2, 41)]
+        expected = [
+            SquareProbeRow(
+                n=n,
+                l_lower=reference_square_part(sigmas[n - 1], primes),
+                s_lower=reference_square_part(sigmas[n - 1] * sigmas[n], primes),
+            )
+            for n in range(1, 41)
+        ]
+        for n_terms in range(3, 41):
+            assert square_divisor_probe(n_terms, trial_bound) == expected[:n_terms], n_terms
 
     def test_rejects_short_probe(self):
         with pytest.raises(ValueError):
