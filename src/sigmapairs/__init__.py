@@ -7,7 +7,6 @@ from .arith import (
     Primality,
     PrimalityVerdict,
     bounded_square_part,
-    gcd,
     is_prime,
     sigma_power,
 )
@@ -26,13 +25,11 @@ from .certify import (
 from .chains import (
     ChainState,
     NonIntegralStep,
-    chain_invariant,
     chain_next,
     chain_terms,
     generate_s,
     generate_u,
     is_quasisolution,
-    quadratic_identity_holds,
 )
 from .oracles import ORACLES, OracleReport
 from .residues import ResidueProfile, residue_profile
@@ -40,7 +37,6 @@ from .search import (
     PairRecord,
     SearchCheckpoint,
     enumerate_seeds,
-    heuristic_tail,
     load_checkpoint,
     locate_pair_index,
     search_pairs,

@@ -3,7 +3,7 @@
 Plain Python ints are the universal nonnegative-integer scalar here; the
 decimal round trip is ``int(str(x)) == x`` by construction.  This module
 adds the divisor sum of a prime power, a reproducible primality test, a
-re-export of ``math.gcd`` and bounded square-part extraction.
+bounded prime sieve and bounded square-part extraction.
 
 Primality policy
 ----------------
@@ -42,7 +42,6 @@ __all__ = [
     "PrimalityVerdict",
     "bounded_square_part",
     "decimal_digits",
-    "gcd",
     "is_prime",
     "sigma_power",
     "small_primes",
@@ -143,8 +142,17 @@ def _small_prime_divisor() -> _BlockTrialDivisor:
     return _BlockTrialDivisor(_SMALL_PRIMES)
 
 
+# The largest bound small_primes sieves to.  The odd-number flags take
+# bound / 2 bytes and the primes a tuple of ints: squares at 10**7
+# peaks at 53 MB, and a bound of 10**10 would ask for gigabytes.
+_SIEVE_LIMIT = 10**7
+
+
 def small_primes(bound: int = TRIAL_DIVISION_BOUND) -> tuple[int, ...]:
-    """Primes up to ``bound`` (cached for the default trial-division bound)."""
+    """Primes up to ``bound`` (cached for the default trial-division
+    bound); a bound above 10**7 is refused before any sieving."""
+    if bound > _SIEVE_LIMIT:
+        raise ValueError(f"prime bound must be <= {_SIEVE_LIMIT}, got {bound}")
     if bound > TRIAL_DIVISION_BOUND:
         return _sieve(bound)
     return _SMALL_PRIMES[: bisect_right(_SMALL_PRIMES, bound)]

@@ -11,10 +11,9 @@ t_1 = t_2 = 1, t_{n+2} = (t_{n+1}^2 + t_{n+1} + 1) / t_n, which starts
 1, 1, 3, 13, 61, 291, ...  The general-m chain advances by
 t_{n+1} = sigma(t_n ^ m) / t_{n-1}.
 
-Also provided: the rational chain invariant (p^2+q^2+p+q+1)/(pq), the
-auxiliary sequences s_n (consecutive solutions of x | y^2+1, y | x^2+1,
-equal to the odd-index Fibonacci numbers) and the periodic sequence u_n
-classifying solutions of b | a^2+1, a | b+1.
+Also provided: the auxiliary sequences s_n (consecutive solutions of
+x | y^2+1, y | x^2+1, equal to the odd-index Fibonacci numbers) and the
+periodic sequence u_n classifying solutions of b | a^2+1, a | b+1.
 
 Indexing follows the subscripts used throughout: t is 1-based with
 t_1 = t_2 = 1, while s and u are 0-based with s_0 = s_1 = u_0 = u_1 = 1.
@@ -23,20 +22,17 @@ t_1 = t_2 = 1, while s and u are 0-based with s_0 = s_1 = u_0 = u_1 = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import sigma_power
 
 __all__ = [
     "ChainState",
     "NonIntegralStep",
-    "chain_invariant",
     "chain_next",
     "chain_terms",
     "generate_s",
     "generate_u",
     "is_quasisolution",
-    "quadratic_identity_holds",
 ]
 
 
@@ -109,21 +105,6 @@ def _sigma_power_mod(x: int, m: int, y: int) -> int:
             total = (total * x + 1) % y
             k += 1
     return total
-
-
-def quadratic_identity_holds(p: int, q: int) -> bool:
-    """True iff 5pq = p^2 + q^2 + p + q + 1 exactly."""
-    if p < 1 or q < 1:
-        raise ValueError(f"terms must be positive, got ({p}, {q})")
-    return 5 * p * q == p * p + q * q + p + q + 1
-
-
-def chain_invariant(p: int, q: int) -> Fraction:
-    """The exact rational (p^2 + q^2 + p + q + 1) / (pq), constant along
-    a quasichain; equals 5 on the principal m = 2 chain."""
-    if p < 1 or q < 1:
-        raise ValueError(f"terms must be positive, got ({p}, {q})")
-    return Fraction(p * p + q * q + p + q + 1, p * q)
 
 
 def generate_s(limit: int) -> list[int]:

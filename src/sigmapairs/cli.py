@@ -368,7 +368,3 @@ def main(argv=None) -> int:
         for line in text:
             print(line)
     return status
-
-
-if __name__ == "__main__":
-    sys.exit(main())

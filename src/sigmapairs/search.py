@@ -102,7 +102,6 @@ __all__ = [
     "SearchCheckpoint",
     "SquareProbeRow",
     "enumerate_seeds",
-    "heuristic_tail",
     "heuristic_tail_parts",
     "load_checkpoint",
     "locate_pair_index",
@@ -630,7 +629,11 @@ _LN4 = math.log(4)
 def heuristic_tail_parts(
     start_index: int, horizon: int | None = None
 ) -> tuple[float, float, float]:
-    """(exact_sum, tail_bound, growth_offset) behind :func:`heuristic_tail`.
+    """Upper estimate of the expected number of prime pairs at chain
+    indices >= start_index, the sum of 1 / (ln t_n * ln t_{n+1}) up to
+    ``horizon`` (unbounded when None), as (exact_sum, tail_bound,
+    growth_offset).  The estimate is exact_sum + tail_bound, always
+    finite because the terms grow at least geometrically with ratio 4.
 
     The exact part sums 1 / (ln t_n * ln t_{n+1}) over the first
     ``_HEURISTIC_EXACT_TERMS`` terms; beyond them the bound
@@ -663,15 +666,6 @@ def heuristic_tail_parts(
             tail -= 1.0 / (horizon + 1 - offset)
         tail /= _LN4 * _LN4
     return exact_sum, tail, offset
-
-
-def heuristic_tail(start_index: int, horizon: int | None = None) -> float:
-    """Upper estimate of the expected number of prime pairs at chain
-    indices >= start_index: sum of 1 / (ln t_n * ln t_{n+1}) up to
-    ``horizon`` (unbounded when None).  Always finite because the terms
-    grow at least geometrically with ratio 4."""
-    exact_sum, tail, _ = heuristic_tail_parts(start_index, horizon)
-    return exact_sum + tail
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ def test_public_api_surface():
     assert sigmapairs.chain_terms(2, 5) == [1, 1, 3, 13, 61]
     assert sigmapairs.is_prime(13).is_probable_prime
     assert sigmapairs.sigma_power(3, 2) == 13
-    assert sigmapairs.gcd(183, 3783) == 3
     assert sigmapairs.residue_profile(5).period == 4
     assert sigmapairs.enumerate_seeds(2, 50) == [(1, 1)]
     assert len(sigmapairs.known_inequalities()) == 14
@@ -45,3 +44,16 @@ def test_package_reexports_only_public_names():
         for alias in node.names:
             assert alias.name in module.__all__, (node.module, alias.name)
             assert getattr(sigmapairs, alias.name) is getattr(module, alias.name)
+
+
+@pytest.mark.parametrize("module, name", [
+    ("arith", "gcd"),
+    ("chains", "chain_invariant"),
+    ("chains", "quadratic_identity_holds"),
+    ("search", "heuristic_tail"),
+])
+def test_retired_names(module, name):
+    # each restated a kept entry point: math.gcd, the m = 2 identity on
+    # chain terms, and heuristic_tail_parts
+    assert name not in importlib.import_module(f"sigmapairs.{module}").__all__
+    assert not hasattr(sigmapairs, name)

@@ -11,7 +11,6 @@ from sigmapairs.arith import (
     PrimalityVerdict,
     bounded_square_part,
     decimal_digits,
-    gcd,
     is_prime,
     sigma_power,
     small_primes,
@@ -30,6 +29,17 @@ class TestSmallPrimes:
                 plain.append(x)
                 composite.update(range(x * x, bound + 1, x))
         assert small_primes(bound) == tuple(plain)
+
+    def test_refuses_a_bound_above_10_to_7_before_sieving(self, monkeypatch):
+        limits = []
+        monkeypatch.setattr(arith, "_sieve", lambda limit, start=2: limits.append(limit) or ())
+        assert small_primes(10**7) == ()
+        assert limits == [10**7]
+        with pytest.raises(ValueError, match="10000000"):
+            small_primes(10**7 + 1)
+        with pytest.raises(ValueError, match="10000000"):
+            bounded_square_part(12, 10**7 + 1)
+        assert limits == [10**7]
 
 
 class TestSieveRange:
@@ -283,32 +293,6 @@ class TestIsPrime:
     @settings(max_examples=200)
     def test_decimal_round_trip(self, x):
         assert int(str(x)) == x
-
-
-class TestGcd:
-    @pytest.mark.parametrize(
-        "a, b, expected",
-        [(13, 183, 1), (0, 7, 7), (183, 3783, 3)],
-    )
-    def test_known_values(self, a, b, expected):
-        assert gcd(a, b) == expected
-
-    @given(a=st.integers(0, 10**12), b=st.integers(0, 10**12))
-    def test_commutative(self, a, b):
-        assert gcd(a, b) == gcd(b, a)
-
-    @given(a=st.integers(1, 10**12), b=st.integers(1, 10**12))
-    def test_divides_both(self, a, b):
-        g = gcd(a, b)
-        assert a % g == 0 and b % g == 0
-
-    @given(
-        a=st.integers(1, 10**8),
-        b=st.integers(1, 10**8),
-        c=st.integers(1, 10**8),
-    )
-    def test_associative_iteration(self, a, b, c):
-        assert gcd(gcd(a, b), c) == gcd(a, gcd(b, c))
 
 
 class TestBoundedSquarePart:

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,17 +6,20 @@ from sigmapairs.arith import sigma_power
 from sigmapairs.chains import (
     ChainState,
     NonIntegralStep,
-    chain_invariant,
     chain_next,
     chain_terms,
     generate_s,
     generate_u,
     is_quasisolution,
-    quadratic_identity_holds,
 )
 from sigmapairs.search import enumerate_seeds
 
 from conftest import FIRST_TERMS
+
+
+def _identity_holds(p, q):
+    """The m = 2 quadratic identity 5pq = p^2 + q^2 + p + q + 1."""
+    return 5 * p * q == p * p + q * q + p + q + 1
 
 
 class TestChainGeneration:
@@ -32,7 +33,7 @@ class TestChainGeneration:
     def test_adjacent_pairs_satisfy_quadratic_identity(self):
         terms = chain_terms(2, 100)
         for p, q in zip(terms, terms[1:]):
-            assert quadratic_identity_holds(p, q)
+            assert _identity_holds(p, q)
 
     def test_growth_window(self):
         terms = chain_terms(2, 100)
@@ -73,7 +74,7 @@ class TestChainSteps:
         state = ChainState(m=2, n=5, prev=13, curr=61)
         advanced = chain_next(state)
         assert (advanced.prev, advanced.curr, advanced.n) == (61, 291, 6)
-        assert quadratic_identity_holds(61, 291)
+        assert _identity_holds(advanced.prev, advanced.curr)
 
     def test_next_m4(self):
         state = ChainState(m=4, n=2, prev=5, curr=11)
@@ -132,14 +133,16 @@ class TestQuasisolutions:
         [(1, 3, True), (13, 61, True), (3, 5, False), (1, 1, True)],
     )
     def test_quadratic_identity_examples(self, p, q, expected):
-        assert quadratic_identity_holds(p, q) is expected
+        # for m = 2 the identity and the divisibility agree
+        assert _identity_holds(p, q) is expected
+        assert is_quasisolution(p, q) is expected
 
     def test_identity_equivalent_to_divisibility_below_1000(self):
         # the m = 2 equivalence, swept exhaustively
         identity_pairs = set()
         for p in range(1, 1001):
             for q in range(1, 1001):
-                if quadratic_identity_holds(p, q):
+                if _identity_holds(p, q):
                     identity_pairs.add((p, q))
         divisibility_pairs = set()
         for p in range(1, 1001):
@@ -155,7 +158,7 @@ class TestQuasisolutions:
             (p, q)
             for p in range(1, 1001)
             for q in range(p, 1001)
-            if quadratic_identity_holds(p, q)
+            if _identity_holds(p, q)
         ]
         assert pairs
         for p, q in pairs:
@@ -169,24 +172,23 @@ class TestQuasisolutions:
 
 class TestChainInvariant:
     def test_unit_pair(self):
-        assert chain_invariant(1, 1) == 5
+        assert _identity_holds(*chain_terms(2, 2))
 
     def test_known_pair(self):
-        assert chain_invariant(13, 61) == 5
-
-    def test_off_chain_pair(self):
-        assert chain_invariant(2, 3) == Fraction(19, 6)
+        advanced = chain_next(ChainState(m=2, n=4, prev=3, curr=13))
+        assert (advanced.prev, advanced.curr) == (13, 61)
+        assert _identity_holds(advanced.prev, advanced.curr)
 
     @given(steps=st.integers(0, 30))
     @settings(max_examples=40)
     def test_constant_along_chain(self, steps):
+        # (p^2 + q^2 + p + q + 1) / (pq) is 5 at (1, 1) and at every step
         state = ChainState(m=2, n=2, prev=1, curr=1)
         for _ in range(steps):
             state = chain_next(state)
         advanced = chain_next(state)
-        assert chain_invariant(state.prev, state.curr) == chain_invariant(
-            advanced.prev, advanced.curr
-        )
+        assert _identity_holds(state.prev, state.curr)
+        assert _identity_holds(advanced.prev, advanced.curr)
 
 
 class TestAuxiliarySequences:

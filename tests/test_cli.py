@@ -14,7 +14,7 @@ import pytest
 
 import sigmapairs
 from conftest import UNUSABLE_CHECKPOINTS, json_doc, results_only
-from sigmapairs import cli, search
+from sigmapairs import arith, cli, search
 
 
 class TestChainCommand:
@@ -406,6 +406,18 @@ class TestSquaresCommand:
         assert len(results) == 6
         assert results[2] == {"n": 3, "l_lower": "1", "s_lower": "1"}
         assert results[0]["s_lower"] == "9"
+
+    def test_trial_bound_is_capped_at_10_to_7(self, run_cli, monkeypatch):
+        code, out = run_cli("squares", "--terms", "3", "--trial-bound", "10000000", "--json")
+        assert code == 0
+        default = run_cli("squares", "--terms", "3", "--json")[1]
+        assert json_doc(out)["results"] == json_doc(default)["results"]
+
+        def sieve(*args):
+            raise AssertionError("sieved past the cap")
+
+        monkeypatch.setattr(arith, "_sieve", sieve)
+        assert run_cli("squares", "--terms", "3", "--trial-bound", "10000001") == (2, "")
 
 
 class TestUsageErrors:

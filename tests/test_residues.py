@@ -39,7 +39,8 @@ class TestResidueProfile:
 
     @pytest.mark.parametrize("w", range(2, 201))
     def test_mirror_symmetry_for_all_small_valid_moduli(self, w):
-        # palindromic tests one fixed axis; this searches every shift
+        # test_every_modulus_ends_within_w_squared checks the one fixed
+        # axis; this searches every shift
         profile = residue_profile(w)
         assert profile.palindromic is True
         length = profile.period
@@ -72,6 +73,9 @@ class TestResidueProfile:
             assert period <= w * w, w
             assert profile.cycle == tuple(t % w for t in terms[:period]), w
             assert (terms[period] % w, terms[period + 1] % w) == (1, 1), w
+            # the fixed mirror axis that sets palindromic, by its proof
+            cycle = profile.cycle
+            assert all(cycle[i] == cycle[(1 - i) % period] for i in range(period)), w
             assert profile.palindromic is True, w
 
     def test_gcd_law_holds_for_every_index(self):

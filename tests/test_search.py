@@ -40,7 +40,6 @@ from sigmapairs.search import (
     SearchCheckpoint,
     SquareProbeRow,
     enumerate_seeds,
-    heuristic_tail,
     heuristic_tail_parts,
     load_checkpoint,
     locate_pair_index,
@@ -1089,14 +1088,20 @@ class TestEnumerateSeeds:
             enumerate_seeds(2, 0)
 
 
+def _estimate(start_index, horizon=None):
+    """The estimate itself: exact_sum + tail_bound."""
+    exact_sum, tail, _ = heuristic_tail_parts(start_index, horizon)
+    return exact_sum + tail
+
+
 class TestHeuristicTail:
     def test_monotone_in_start_index(self):
         for n0 in range(3, 40, 5):
-            assert heuristic_tail(n0 + 1) <= heuristic_tail(n0)
+            assert _estimate(n0 + 1) <= _estimate(n0)
 
     def test_finite_for_unbounded_horizon(self):
         for n0 in (3, 10, 100, 500):
-            value = heuristic_tail(n0)
+            value = _estimate(n0)
             assert math.isfinite(value)
             assert value >= 0.0
 
@@ -1115,14 +1120,14 @@ class TestHeuristicTail:
         )
 
     def test_finite_horizon_is_plain_sum(self):
-        value = heuristic_tail(5, horizon=50)
+        value = _estimate(5, horizon=50)
         terms = chain_terms(2, 51)
         logs = [math.log(t) for t in terms]
         expected = sum(1.0 / (logs[n - 1] * logs[n]) for n in range(5, 51))
         assert value == pytest.approx(expected, rel=1e-12)
 
     def test_horizon_below_start_gives_zero(self):
-        assert heuristic_tail(10, horizon=9) == 0.0
+        assert _estimate(10, horizon=9) == 0.0
 
     @pytest.mark.parametrize("start, horizon", [(30, 10), (10, 9), (50, 3)])
     def test_horizon_below_start_keeps_the_growth_offset(self, start, horizon):
@@ -1133,12 +1138,12 @@ class TestHeuristicTail:
 
     def test_rejects_early_start(self):
         with pytest.raises(ValueError):
-            heuristic_tail(2)
+            _estimate(2)
 
     @given(n0=st.integers(3, 60), horizon=st.integers(3, 400))
     @settings(max_examples=40)
     def test_bounded_horizon_never_exceeds_unbounded(self, n0, horizon):
-        assert heuristic_tail(n0, horizon=horizon) <= heuristic_tail(n0) + 1e-15
+        assert _estimate(n0, horizon=horizon) <= _estimate(n0) + 1e-15
 
 
 class TestSquareDivisorProbe:
