@@ -15,6 +15,7 @@ that has started its worker processes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -271,6 +272,9 @@ def _cmd_squares(args):
     return params, results, text, EXIT_OK, None
 
 
+# Built once per process: a call to main only parses, and argparse puts
+# every value it reads and every default on a fresh namespace.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sigmapairs", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

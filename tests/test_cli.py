@@ -194,6 +194,23 @@ class TestSearchCommand:
         ) == (3, "")
         assert capsys.readouterr().err.startswith("checkpoint error:")
 
+    def test_a_resume_validates_its_checkpoint_once(self, run_cli, tmp_path, monkeypatch):
+        path = str(tmp_path / "walk.ck")
+        assert run_cli(
+            "search", "--m", "2", "--digits", "20", "--checkpoint", path
+        )[0] == 0
+        assert len(search.load_checkpoint(path).found) == 3
+        checked = []
+        is_quasisolution = search.is_quasisolution
+        monkeypatch.setattr(search, "is_quasisolution", lambda p, q, m: (
+            checked.append((p, q)) or is_quasisolution(p, q, m)))
+        assert run_cli(
+            "search", "--m", "2", "--digits", "20", "--checkpoint", path,
+            "--max-steps", "1",
+        )[0] == 0
+        # the state and each recorded pair, each checked once
+        assert len(checked) == len(set(checked)) == 4
+
 
 class TestSeedsCommand:
     def test_m4_seed_list(self, run_cli):
@@ -442,6 +459,28 @@ class TestUsageErrors:
     def test_retired_flags(self, run_cli, argv):
         assert run_cli(*argv) == (64, "")
 
+    def test_a_reused_parser_keeps_no_state(self, run_cli):
+        assert cli._build_parser() is cli._build_parser()
+        plain = ("search", "--m", "2", "--digits", "5", "--json")
+
+        def params(*argv):
+            code, out = run_cli(*argv)
+            assert code == 0
+            return json_doc(out)["params"]
+
+        expected = params(*plain)
+        assert expected["checkpoint_every"] == 25
+        assert params(*plain[:-1], "--checkpoint-every", "1", "--json")[
+            "checkpoint_every"] == 1
+        assert params(*plain) == expected
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("search", "--seed", "5,11", "--help")
+        assert exit_info.value.code == 0
+        assert params(*plain) == expected
+        assert run_cli("search", "--m", "4", "--checkpoint-every", "7",
+                       "--mr-rounds", "many") == (64, "")
+        assert params(*plain) == expected
+
 
 def _package_exceptions():
     """Every Exception subclass defined in a ``sigmapairs`` module."""
@@ -563,9 +602,12 @@ class TestModuleEntryPoint:
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         ck = tmp_path / "ck"
+        # a state is written only once the pairs before it are confirmed, so
+        # a walk that could end soon might write its first state past index
+        # 741 just before it exits; the walk to 4000 digits runs for minutes
         proc = subprocess.Popen(
             [sys.executable, "-m", "sigmapairs", "search", "--m", "2",
-             "--digits", "1500", "--checkpoint", str(ck)],
+             "--digits", "4000", "--checkpoint", str(ck)],
             cwd=tmp_path, start_new_session=True, stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": path},
         )
@@ -612,9 +654,10 @@ class TestModuleEntryPoint:
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         ck = tmp_path / "ck"
+        # to 4000 digits, so that the walk is still running when it is signalled
         proc = subprocess.Popen(
             [sys.executable, "-m", "sigmapairs", "search", "--m", "2",
-             "--digits", "1500", "--checkpoint", str(ck)],
+             "--digits", "4000", "--checkpoint", str(ck)],
             cwd=tmp_path, start_new_session=True, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": path},
         )

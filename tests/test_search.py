@@ -862,6 +862,20 @@ class TestCheckpoints:
         )
         assert saved == saved_at
 
+    def test_each_term_is_rendered_once(self, tmp_path, monkeypatch):
+        # every state after the first takes its prev from the state before
+        saved = []
+        write = search.write_checkpoint
+        monkeypatch.setattr(search, "write_checkpoint", lambda path, state: (
+            saved.append(state), write(path, state)))
+        search._decimal.cache_clear()
+        path = str(tmp_path / "walk.ck")
+        search_pairs(2, digits_limit=300, checkpoint_path=path, checkpoint_every=1)
+        terms = {x for state in saved for x in (state.prev, state.curr)}
+        assert len(terms) == len(saved) + 1 > 400
+        assert search._decimal.cache_info().misses == len(terms)
+        assert load_checkpoint(path) == saved[-1]
+
     def test_file_format(self, tmp_path):
         path = str(tmp_path / "walk.ck")
         write_checkpoint(
@@ -942,6 +956,30 @@ class TestCheckpoints:
         checkpoint = SearchCheckpoint(m=4, n=2, prev=5, curr=11, found=())
         with pytest.raises(CheckpointMismatch):
             search_pairs(2, digits_limit=10, checkpoint=checkpoint)
+
+    def test_validates_each_checkpoint_it_did_not_load(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "walk.ck")
+        records = search_pairs(2, digits_limit=20, checkpoint_path=path)
+        loaded = load_checkpoint(path)
+        checked = []
+        is_quasisolution = search.is_quasisolution
+        monkeypatch.setattr(search, "is_quasisolution", lambda p, q, m: (
+            checked.append((p, q)) or is_quasisolution(p, q, m)))
+        # the loaded state was validated by load_checkpoint; an equal copy
+        # of it is checked again: the state and its three pairs
+        for state, checks in ((loaded, 0), (dataclasses.replace(loaded), 4)):
+            checked.clear()
+            assert search_pairs(2, digits_limit=20, checkpoint=state) == records
+            assert len(checked) == checks
+        first = loaded.found[0]
+        for invalid in (
+            dataclasses.replace(loaded, prev=loaded.prev + 1),
+            dataclasses.replace(loaded, found=loaded.found[::-1]),
+            dataclasses.replace(loaded, found=(
+                dataclasses.replace(first, p_verdict=is_prime(291)),)),
+        ):
+            with pytest.raises(CheckpointMismatch):
+                search_pairs(2, digits_limit=20, checkpoint=invalid)
 
     @pytest.mark.parametrize("interrupt_after", [1, 2, 3, 5, 8, 13, 21])
     def test_resume_reproduces_uninterrupted_run(self, tmp_path, interrupt_after):
