@@ -598,36 +598,31 @@ def search_pairs(
     return confirmer.found
 
 
-def _descend(p: int, q: int, m: int) -> tuple[tuple[int, int], int]:
-    """Descend the quasisolution (p, q) to its chain's minimal pair;
-    returns that pair and the number of steps taken.
-
-    A step replaces (a, b), a <= b, by the sorted pair of
-    (sigma(a^m)/b, a), which is again a quasisolution, and is taken only
-    when it lowers the larger term.  That term is a positive integer, so
-    the descent ends.
-    """
-    a, b = (p, q) if p <= q else (q, p)
-    steps = 0
-    while True:
-        x = sigma_power(a, m) // b
-        if max(x, a) >= b:
-            return (a, b), steps
-        a, b = min(x, a), max(x, a)
-        steps += 1
-
-
 def locate_pair_index(p: int, q: int, m: int = 2) -> int:
     """Chain index of ``p`` when (p, q) are consecutive chain terms,
-    counted from the chain's minimal seed at indices (1, 2)."""
+    counted from the chain's minimal seed at indices (1, 2).
+
+    That is one more than the number of descent steps to the seed.  A
+    step replaces (a, b), a <= b, by the sorted pair of
+    (sigma(a^m) // b, a), again a quasisolution, and is taken while it
+    lowers b, that is while sigma(a^m) // b < b.  b is a positive
+    integer, so the descent ends.
+    """
     if not is_quasisolution(p, q, m):
         raise ValueError(f"({p}, {q}) is not a quasisolution for m={m}")
-    return _descend(p, q, m)[1] + 1
+    a, b = sorted((p, q))
+    index = 1
+    while (x := sigma_power(a, m) // b) < b:
+        a, b = sorted((x, a))
+        index += 1
+    return index
 
 
 def enumerate_seeds(m: int, bound: int) -> list[tuple[int, int]]:
-    """All minimal quasisolution pairs (p, q), p <= q <= bound, after
-    reducing every quasisolution below the bound by descent.
+    """All minimal quasisolution pairs (p, q), p <= q <= bound: those
+    that :func:`locate_pair_index` does not descend from, as
+    sigma(p^m) // q >= q.  Every quasisolution below the bound descends
+    to one of them.
 
     For m = 4 and bound 1000 this yields (1, 1), (5, 11), (61, 131) and
     (101, 491), each starting its own chain; for m = 2 only (1, 1)
@@ -635,13 +630,13 @@ def enumerate_seeds(m: int, bound: int) -> list[tuple[int, int]]:
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    minimal = set()
+    seeds = []
     for q in range(1, bound + 1):
         sq = sigma_power(q, m)
         for p in range(1, q + 1):
-            if sq % p == 0 and sigma_power(p, m) % q == 0:
-                minimal.add(_descend(p, q, m)[0])
-    return sorted(minimal)
+            if sq % p == 0 and (sp := sigma_power(p, m)) % q == 0 and sp >= q * q:
+                seeds.append((p, q))
+    return sorted(seeds)
 
 
 _HEURISTIC_EXACT_TERMS = 200

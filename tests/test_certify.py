@@ -180,6 +180,30 @@ class TestOptimize:
         with pytest.raises(ValueError):
             optimize(known_inequalities(), form(ca=1, cn=1))
 
+    def test_rejects_an_empty_system(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            optimize([], form(ca=1, cb=1, cc=1))
+
+    @pytest.mark.parametrize(
+        "lhs, rhs, message",
+        [
+            (form(cb=1, cn=1), form(cn=1), "lhs must only involve a, b, c"),
+            (form(cb=1, c2=1), form(cn=1), "lhs must only involve a, b, c"),
+            (form(cb=1, c3=1), form(cn=1), "lhs must only involve a, b, c"),
+            (form(cb=1), form(cn=1, ca=1), "rhs must only involve logN"),
+            (form(cb=1), form(cn=1, cb=1), "rhs must only involve logN"),
+            (form(cb=1), form(cn=1, cc=1), "rhs must only involve logN"),
+        ],
+    )
+    def test_rejects_an_inequality_not_in_split_form(self, lhs, rhs, message):
+        # optimize and format_inequalities read the lhs as a, b, c and
+        # the rhs as logN, log2, log3 only
+        mixed = Inequality(lhs=lhs, rhs=rhs, label="mixed")
+        with pytest.raises(ValueError, match=f"'mixed': {message}"):
+            optimize([registry_map()["3c"], mixed], form(cb=1))
+        with pytest.raises(ValueError, match=f"'mixed': {message}"):
+            format_inequalities([mixed])
+
     def test_constant_tie_breaking_prefers_smaller_exact_value(self):
         # two routes to beta with equal logN cost but different constants:
         # log2 < log3 so the log2 route must win

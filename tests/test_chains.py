@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sigmapairs import chains
 from sigmapairs.arith import sigma_power
 from sigmapairs.chains import (
     ChainState,
@@ -118,11 +119,25 @@ class TestQuasisolutions:
         assert is_quasisolution(p, q, m) is expected
 
     def test_agrees_with_the_divisor_sums(self):
+        # m = 2 reads the quadratic identity, every other m the closed form
         for m in range(1, 7):
-            for p in range(1, 41):
-                for q in range(1, 41):
-                    expected = sigma_power(q, m) % p == 0 and sigma_power(p, m) % q == 0
+            sigmas = [0] + [sigma_power(x, m) for x in range(1, 151)]
+            for p in range(1, 151):
+                for q in range(1, 151):
+                    expected = sigmas[q] % p == 0 and sigmas[p] % q == 0
                     assert is_quasisolution(p, q, m) is expected, (p, q, m)
+
+    @given(
+        x=st.integers(10**19, 10**2000),
+        m=st.integers(1, 8),
+        y=st.integers(10**19, 10**2000),
+    )
+    @example(x=1, m=5, y=10**19 + 1)
+    @example(x=2, m=4, y=31)
+    @example(x=10**2000, m=1, y=1)
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_residue_matches_the_divisor_sum(self, x, m, y):
+        assert chains._sigma_power_mod(x, m, y) == sigma_power(x, m) % y
 
     def test_rejects_an_exponent_below_1(self):
         with pytest.raises(ValueError):

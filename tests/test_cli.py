@@ -248,6 +248,14 @@ class TestResiduesCommand:
     def test_modulus_below_two_is_precondition_error(self, run_cli, w):
         assert run_cli("residues", "--mod", w) == (2, "")
 
+    def test_modulus_above_10_to_6_is_precondition_error(self, run_cli):
+        # the period can grow linearly with the modulus, so a huge one is
+        # refused rather than stepped
+        assert run_cli("residues", "--mod", "1000001") == (2, "")
+        code, out = run_cli("residues", "--mod", "1000000")
+        assert code == 0
+        assert out.startswith("modulus 1000000: period 75000, palindromic true\n")
+
 
 class TestLemmasCommand:
     def test_only_p1q1(self, run_cli):

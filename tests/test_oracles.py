@@ -6,6 +6,7 @@ import pytest
 from sigmapairs.arith import is_prime
 from sigmapairs.oracles import (
     ORACLES,
+    OracleReport,
     _primes_up_to,
     _quadratic_factors,
     _sigma22_prime_pairs,
@@ -167,11 +168,29 @@ class TestSigma33Breakdown:
         for x in range(1, 1001):
             assert x**3 + x**2 + x + 1 == (x + 1) * (x * x + 1)
 
-    @pytest.mark.parametrize("bound", [3, 100, 10**3])
+    @pytest.mark.parametrize("bound", [-5, 0, 3, 100, 10**3, 10**4])
     def test_every_pair_lands_in_a_case(self, bound):
-        report = oracle_sigma33_breakdown(bound)
-        assert report.witnesses == ()
-        assert report.agrees
+        assert oracle_sigma33_breakdown(bound) == OracleReport(
+            lemma_id="sigma33", bound=bound, witnesses=(), expected=(), agrees=True
+        )
+
+    def test_the_four_cases_cover_every_pair_below_1000(self):
+        # the proof the report rests on, checked by brute force: each
+        # sigma_{3,3} prime pair below 1000 lies in one of the four cases
+        primes = _primes_up_to(10**3)
+        pairs = [
+            (p, q) for p in primes for q in primes
+            if (p + 1) * (p * p + 1) % q == 0 and (q + 1) * (q * q + 1) % p == 0
+        ]
+        assert (2, 3) in pairs and (89, 233) in pairs
+        for p, q in pairs:
+            cases = (
+                (q + 1) % p == 0 and (p + 1) % q == 0,
+                (q * q + 1) % p == 0 and (p * p + 1) % q == 0,
+                (q + 1) % p == 0 and (p * p + 1) % q == 0,
+                (q * q + 1) % p == 0 and (p + 1) % q == 0,
+            )
+            assert any(cases), (p, q)
 
     def test_2_3_is_a_sigma33_pair_via_case_1(self):
         # sigma(2^3) = 15, sigma(3^3) = 40: 3 | 15 and 2 | 40, and the

@@ -37,6 +37,19 @@ class TestResidueProfile:
         with pytest.raises(ValueError):
             residue_profile(1)
 
+    def test_refuses_a_modulus_above_10_to_6_before_any_step(self):
+        # every step reduces modulo w, so a w that fails on reduction
+        # shows whether one was taken
+        class Unstepped(int):
+            def __rmod__(self, other):
+                raise AssertionError("stepped")
+
+        with pytest.raises(ValueError, match="1000000"):
+            residue_profile(Unstepped(10**6 + 1))
+        with pytest.raises(AssertionError, match="stepped"):
+            residue_profile(Unstepped(10**6))
+        assert residue_profile(10**6).period == 75000
+
     @pytest.mark.parametrize("w", range(2, 201))
     def test_mirror_symmetry_for_all_small_valid_moduli(self, w):
         # test_every_modulus_ends_within_w_squared checks the one fixed

@@ -1051,6 +1051,42 @@ class TestCheckpoints:
                 "search", "--m", "2", "--digits", "20", "--checkpoint", str(path)
             ) == (3, "")
 
+    @pytest.mark.xfail(
+        strict=True, raises=pytest.fail.Exception,
+        reason="the header m is checked only against the quasisolution, "
+        "not a walk from the seed (ROADMAP item 1)",
+    )
+    def test_rejects_m2_terms_under_an_exponent_they_satisfy(self, tmp_path):
+        # 3 | m + 1 and t^3 = 1 (mod its neighbour) for these m = 2 terms,
+        # so (t_8, t_9) is a quasisolution for m = 20000 too, but the
+        # m = 20000 chain does not hold it at index 9
+        assert is_quasisolution(6673, 31971, 20000)
+        path = tmp_path / "walk.ck"
+        path.write_text(
+            "sigma-chain-checkpoint v1\nm=20000\nn=9\nprev=6673\ncurr=31971\n",
+            encoding="ascii",
+        )
+        with pytest.raises(CheckpointMismatch):
+            load_checkpoint(str(path))
+
+    @pytest.mark.xfail(
+        strict=True, raises=pytest.fail.Exception,
+        reason="n and the pair records are not checked against a walk "
+        "from the seed (ROADMAP item 1)",
+    )
+    def test_rejects_terms_from_another_index(self, tmp_path):
+        # (t_10, t_11) under n = 5 would resume to the 14-digit pair at
+        # index 16 instead of 22, and drop (13, 61)
+        prev, curr = chain_terms(2, 11)[9:]
+        path = tmp_path / "walk.ck"
+        path.write_text(
+            f"sigma-chain-checkpoint v1\nm=2\nn=5\nprev={prev}\ncurr={curr}\n"
+            "pair 3 3 13\n",
+            encoding="ascii",
+        )
+        with pytest.raises(CheckpointMismatch):
+            load_checkpoint(str(path))
+
     @given(
         garbage=st.one_of(st.text(max_size=300).map(str.encode), st.binary(max_size=300))
     )
@@ -1098,7 +1134,8 @@ class TestLocatePairIndex:
         assert locate_pair_index(terms[999], terms[1000], 2) == 1000
 
     def test_agrees_with_generated_chain(self):
-        # the one descent, _descend, against the one ascent, chain_next
+        # the one descent, in locate_pair_index, against the one ascent,
+        # chain_next
         for m, seed, count in [
             (2, (1, 1), 30), (3, (1, 1), 10), (4, (1, 1), 8), (6, (1, 1), 7),
             (4, (5, 11), 8), (4, (61, 131), 8), (4, (101, 491), 8),
@@ -1108,9 +1145,36 @@ class TestLocatePairIndex:
                 assert locate_pair_index(terms[k - 1], terms[k], m) == k, (m, seed, k)
 
 
+def _descent_seeds(m, bound):
+    """Yield the seeds below B for B = 1 .. bound by descending every
+    quasisolution p <= q <= B to its chain's minimal pair, with a step
+    from (a, b), a <= b, to the sorted (sigma(a^m) // b, a) taken while
+    it lowers the larger term."""
+    minimal = set()
+    for q in range(1, bound + 1):
+        sq = sigma_power(q, m)
+        for p in range(1, q + 1):
+            if sq % p == 0 and sigma_power(p, m) % q == 0:
+                a, b = p, q
+                while max(x := sigma_power(a, m) // b, a) < b:
+                    a, b = min(x, a), max(x, a)
+                minimal.add((a, b))
+        yield sorted(minimal)
+
+
 class TestEnumerateSeeds:
     def test_m4_seeds_below_1000(self):
         assert enumerate_seeds(4, 1000) == [(1, 1), (5, 11), (61, 131), (101, 491)]
+        assert enumerate_seeds(4, 1000) == list(_descent_seeds(4, 1000))[-1]
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_minimal_pairs_are_the_descent_endpoints(self, m):
+        # a pair is a seed when its descent step would not lower q, so the
+        # seeds below every bound are where all the descents end
+        for bound, seeds in enumerate(_descent_seeds(m, 300), start=1):
+            assert enumerate_seeds(m, bound) == seeds, (m, bound)
+        for p, q in seeds:
+            assert locate_pair_index(p, q, m) == 1, (m, p, q)
 
     def test_m2_unit_seed_only(self):
         assert enumerate_seeds(2, 1000) == [(1, 1)]
