@@ -14,10 +14,10 @@ from .certify import (
     Certificate,
     Inequality,
     Infeasible,
-    LogLinearForm,
+    Lhs,
+    Rhs,
     combine,
     entails,
-    form,
     known_inequalities,
     optimize,
     verify_known_combinations,

@@ -4,8 +4,12 @@ inequalities in the six quantities
     a = log(third largest prime),  b = log(second largest),
     c = log(largest),  log N,  log 2,  log 3,
 
-all positive, with a <= b <= c.  Nonnegative multiplier vectors turn a
-registry of recorded inequalities into derived bounds such as
+all positive, with a <= b <= c.  Every inequality is held in one
+canonical form, ``Lhs <= Rhs``: a, b and c on the left, log N, log 2 and
+log 3 on the right.  Any inequality in the six logs moves to this form;
+N > 10^1500, for one, gives 0 <= log N - 4982 log 2, as 1500 log2(10)
+exceeds 4982.  Nonnegative multiplier vectors turn a registry of
+recorded inequalities into derived bounds such as
 
     a + b + c <= (11/18) log N + (5/12) log 2 + (7/36) log 3,
 
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "Certificate",
@@ -36,11 +40,11 @@ __all__ = [
     "Discrepancy",
     "Inequality",
     "Infeasible",
-    "LogLinearForm",
+    "Lhs",
     "NegativeMultiplier",
+    "Rhs",
     "combine",
     "entails",
-    "form",
     "format_inequalities",
     "known_combinations",
     "known_inequalities",
@@ -53,48 +57,28 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class LogLinearForm:
-    """ca*a + cb*b + cc*c + cn*logN + c2*log2 + c3*log3 with exact
-    rational coefficients."""
+class Lhs(NamedTuple):
+    """ca*a + cb*b + cc*c, with int or Fraction coefficients."""
 
-    ca: Fraction = _ZERO
-    cb: Fraction = _ZERO
-    cc: Fraction = _ZERO
-    cn: Fraction = _ZERO
-    c2: Fraction = _ZERO
-    c3: Fraction = _ZERO
-
-    def plus(self, other: "LogLinearForm") -> "LogLinearForm":
-        return LogLinearForm(
-            self.ca + other.ca, self.cb + other.cb, self.cc + other.cc,
-            self.cn + other.cn, self.c2 + other.c2, self.c3 + other.c3,
-        )
-
-    def scaled(self, factor: Fraction) -> "LogLinearForm":
-        return LogLinearForm(
-            self.ca * factor, self.cb * factor, self.cc * factor,
-            self.cn * factor, self.c2 * factor, self.c3 * factor,
-        )
-
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return (self.ca, self.cb, self.cc, self.cn, self.c2, self.c3)
+    ca: Fraction | int = 0
+    cb: Fraction | int = 0
+    cc: Fraction | int = 0
 
 
-def form(ca=0, cb=0, cc=0, cn=0, c2=0, c3=0) -> LogLinearForm:
-    """Construct a form, coercing every coefficient to Fraction."""
-    return LogLinearForm(
-        Fraction(ca), Fraction(cb), Fraction(cc),
-        Fraction(cn), Fraction(c2), Fraction(c3),
-    )
+class Rhs(NamedTuple):
+    """cn*logN + c2*log2 + c3*log3, with int or Fraction coefficients."""
+
+    cn: Fraction | int = 0
+    c2: Fraction | int = 0
+    c3: Fraction | int = 0
 
 
 @dataclass(frozen=True)
 class Inequality:
     """lhs <= rhs under positivity of all six basis quantities."""
 
-    lhs: LogLinearForm
-    rhs: LogLinearForm
+    lhs: Lhs
+    rhs: Rhs
     label: str
 
 
@@ -125,15 +109,13 @@ def combine(
         raise ValueError(
             f"{len(ineqs)} inequalities but {len(multipliers)} multipliers"
         )
-    lhs = LogLinearForm()
-    rhs = LogLinearForm()
-    used = []
+    lhs, rhs, used = Lhs(), Rhs(), []
     for ineq, factor in zip(ineqs, multipliers):
         factor = Fraction(factor)
         if factor < 0:
             raise NegativeMultiplier(f"multiplier for {ineq.label!r} is {factor}")
-        lhs = lhs.plus(ineq.lhs.scaled(factor))
-        rhs = rhs.plus(ineq.rhs.scaled(factor))
+        lhs = Lhs(*(s + factor * c for s, c in zip(lhs, ineq.lhs)))
+        rhs = Rhs(*(s + factor * c for s, c in zip(rhs, ineq.rhs)))
         if factor:
             used.append(f"{factor}*[{ineq.label}]")
     return Inequality(lhs=lhs, rhs=rhs, label=" + ".join(used) or "0")
@@ -145,10 +127,8 @@ def entails(derived: Inequality, target: Inequality) -> bool:
     the target's, every rhs coefficient at most matches.  The trivial
     orderings a <= b <= c are deliberately not baked in; add them to a
     combination instead."""
-    return all(
-        d >= t for d, t in zip(derived.lhs.coefficients(), target.lhs.coefficients())
-    ) and all(
-        d <= t for d, t in zip(derived.rhs.coefficients(), target.rhs.coefficients())
+    return all(d >= t for d, t in zip(derived.lhs, target.lhs)) and all(
+        d <= t for d, t in zip(derived.rhs, target.rhs)
     )
 
 
@@ -212,20 +192,13 @@ def _det3(c0, c1, c2) -> int:
     )
 
 
-def _integral(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+def _integral(values: Sequence[Fraction | int]) -> tuple[int, tuple[int, ...]]:
     """(L, L*values) for L the lcm of the values' denominators."""
     scale = lcm(*(v.denominator for v in values))
     return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
-def _require_split_form(ineq: Inequality) -> None:
-    if ineq.lhs.cn or ineq.lhs.c2 or ineq.lhs.c3:
-        raise ValueError(f"{ineq.label!r}: lhs must only involve a, b, c")
-    if ineq.rhs.ca or ineq.rhs.cb or ineq.rhs.cc:
-        raise ValueError(f"{ineq.label!r}: rhs must only involve logN, log2, log3")
-
-
-def optimize(ineqs: Sequence[Inequality], objective: LogLinearForm) -> Certificate:
+def optimize(ineqs: Sequence[Inequality], objective: Lhs) -> Certificate:
     """Nonnegative multipliers whose combined lhs covers ``objective``
     coefficient-wise in (a, b, c), minimizing the combined log N
     coefficient and then the exact constant term.
@@ -250,18 +223,12 @@ def optimize(ineqs: Sequence[Inequality], objective: LogLinearForm) -> Certifica
     """
     if not ineqs:
         raise ValueError("inequality list must be nonempty")
-    if objective.cn or objective.c2 or objective.c3:
-        raise ValueError("objective must be a combination of a, b, c only")
-    for ineq in ineqs:
-        _require_split_form(ineq)
 
     # tableau columns: covering rows (ca, cb, cc), then cost rows (cn, c2, c3)
     m = len(ineqs)
-    scales, columns = zip(*(
-        _integral(iq.lhs.coefficients()[:3] + iq.rhs.coefficients()[3:]) for iq in ineqs
-    ))
+    scales, columns = zip(*(_integral(iq.lhs + iq.rhs) for iq in ineqs))
     surplus = [tuple(-1 if r == s else 0 for s in range(6)) for r in range(3)]
-    need_scale, need = _integral((objective.ca, objective.cb, objective.cc))
+    need_scale, need = _integral(objective)
 
     best_cost = best_vertex = None
     for k in range(0, min(3, m) + 1):
@@ -297,10 +264,6 @@ def optimize(ineqs: Sequence[Inequality], objective: LogLinearForm) -> Certifica
     )
 
 
-def _ineq(label: str, lhs: LogLinearForm, rhs: LogLinearForm) -> Inequality:
-    return Inequality(lhs=lhs, rhs=rhs, label=label)
-
-
 def known_inequalities() -> list[Inequality]:
     """The fourteen recorded inequalities, labelled by their lhs shape.
 
@@ -311,27 +274,27 @@ def known_inequalities() -> list[Inequality]:
     as-printed variant)."""
     half = Fraction(1, 2)
     return [
-        _ineq("3c", form(cc=3), form(cn=1, c3=1)),
-        _ineq("2b+2c", form(cb=2, cc=2), form(cn=1, c2=half, c3=half)),
-        _ineq("5b", form(cb=5), form(cn=1, c2=1)),
-        _ineq("3a+2b+c", form(ca=3, cb=2, cc=1), form(cn=1, c2=1)),
-        _ineq("5a+2b+c", form(ca=5, cb=2, cc=1), form(cn=1, c2=1)),
-        _ineq("3a+2b+2c", form(ca=3, cb=2, cc=2), form(cn=1, c2=1)),
-        _ineq("4b+2c", form(cb=4, cc=2), form(cn=1)),
-        _ineq("2a+2b+3c", form(ca=2, cb=2, cc=3), form(cn=1, c2=1)),
-        _ineq("3b+3c", form(cb=3, cc=3), form(cn=1)),
-        _ineq("2a+3b+3c", form(ca=2, cb=3, cc=3), form(cn=1)),
-        _ineq("2a+4b+c", form(ca=2, cb=4, cc=1), form(cn=1)),
-        _ineq("a+c-2b", form(ca=1, cb=-2, cc=1), form(c2=1)),
-        _ineq("a-b", form(ca=1, cb=-1), form()),
-        _ineq("b-c", form(cb=1, cc=-1), form()),
+        Inequality(Lhs(cc=3), Rhs(cn=1, c3=1), "3c"),
+        Inequality(Lhs(cb=2, cc=2), Rhs(cn=1, c2=half, c3=half), "2b+2c"),
+        Inequality(Lhs(cb=5), Rhs(cn=1, c2=1), "5b"),
+        Inequality(Lhs(ca=3, cb=2, cc=1), Rhs(cn=1, c2=1), "3a+2b+c"),
+        Inequality(Lhs(ca=5, cb=2, cc=1), Rhs(cn=1, c2=1), "5a+2b+c"),
+        Inequality(Lhs(ca=3, cb=2, cc=2), Rhs(cn=1, c2=1), "3a+2b+2c"),
+        Inequality(Lhs(cb=4, cc=2), Rhs(cn=1), "4b+2c"),
+        Inequality(Lhs(ca=2, cb=2, cc=3), Rhs(cn=1, c2=1), "2a+2b+3c"),
+        Inequality(Lhs(cb=3, cc=3), Rhs(cn=1), "3b+3c"),
+        Inequality(Lhs(ca=2, cb=3, cc=3), Rhs(cn=1), "2a+3b+3c"),
+        Inequality(Lhs(ca=2, cb=4, cc=1), Rhs(cn=1), "2a+4b+c"),
+        Inequality(Lhs(ca=1, cb=-2, cc=1), Rhs(c2=1), "a+c-2b"),
+        Inequality(Lhs(ca=1, cb=-1), Rhs(), "a-b"),
+        Inequality(Lhs(cb=1, cc=-1), Rhs(), "b-c"),
     ]
 
 
 def literal_bc_inequality() -> Inequality:
     """The as-printed variant 2a + 2b <= log N + (1/2) log 6."""
     half = Fraction(1, 2)
-    return _ineq("2a+2b", form(ca=2, cb=2), form(cn=1, c2=half, c3=half))
+    return Inequality(Lhs(ca=2, cb=2), Rhs(cn=1, c2=half, c3=half), "2a+2b")
 
 
 @dataclass(frozen=True)
@@ -342,7 +305,7 @@ class CombinationCheck:
     name: str
     multipliers: tuple[tuple[str, Fraction], ...]
     derived: Inequality
-    expected_rhs: LogLinearForm
+    expected_rhs: Rhs
     matches: bool
 
 
@@ -352,7 +315,7 @@ class Discrepancy:
     detail: str
 
 
-def known_combinations() -> list[tuple[str, dict[str, Fraction], LogLinearForm, LogLinearForm]]:
+def known_combinations() -> list[tuple[str, dict[str, Fraction], Rhs, Rhs]]:
     """Recorded multiplier recipes as (name, label->multiplier,
     exact rhs, recorded rhs).  Recorded and exact differ for two
     entries; those produce discrepancy reports."""
@@ -360,25 +323,25 @@ def known_combinations() -> list[tuple[str, dict[str, Fraction], LogLinearForm, 
     entries = [
         ("abc-11/18",
          {"3c": F(1, 9), "2b+2c": F(1, 6), "3a+2b+c": F(1, 3)},
-         form(cn=F(11, 18), c2=F(5, 12), c3=F(7, 36)), None),
+         Rhs(cn=F(11, 18), c2=F(5, 12), c3=F(7, 36)), None),
         ("abc-17/30",
          {"3c": F(1, 15), "2b+2c": F(3, 10), "5a+2b+c": F(1, 5)},
-         form(cn=F(17, 30), c2=F(7, 20), c3=F(13, 60)), None),
+         Rhs(cn=F(17, 30), c2=F(7, 20), c3=F(13, 60)), None),
         ("abc-17/36",
          {"3c": F(1, 18), "3a+2b+2c": F(1, 3), "4b+2c": F(1, 12)},
-         form(cn=F(17, 36), c2=F(1, 3), c3=F(1, 18)), None),
+         Rhs(cn=F(17, 36), c2=F(1, 3), c3=F(1, 18)), None),
         ("abc-3/7",
          {"a-b": F(1, 7), "b-c": F(2, 7), "2a+2b+3c": F(3, 7)},
-         form(cn=F(3, 7), c2=F(3, 7)), None),
+         Rhs(cn=F(3, 7), c2=F(3, 7)), None),
         ("abc-3/8",
          {"a-b": F(1, 4), "b-c": F(1, 8), "2a+3b+3c": F(3, 8)},
-         form(cn=F(3, 8)), form(cn=F(17, 36))),
+         Rhs(cn=F(3, 8)), Rhs(cn=F(17, 36))),
         ("abc-5/9",
          {"3c": F(2, 9), "a-b": F(1, 3), "2a+4b+c": F(1, 3)},
-         form(cn=F(5, 9), c3=F(2, 9)), None),
+         Rhs(cn=F(5, 9), c3=F(2, 9)), None),
         ("abc-3/5",
          {"5b": F(3, 5), "a+c-2b": F(1)},
-         form(cn=F(3, 5), c2=F(8, 5)), form(cn=F(3, 5), c2=F(3, 5))),
+         Rhs(cn=F(3, 5), c2=F(8, 5)), Rhs(cn=F(3, 5), c2=F(3, 5))),
     ]
     return [
         (name, mults, exact, exact if recorded is None else recorded)
@@ -408,7 +371,7 @@ def verify_known_combinations() -> tuple[list[CombinationCheck], list[Discrepanc
         multipliers = [mults.get(iq.label, _ZERO) for iq in registry]
         derived = combine(registry, multipliers)
         used = tuple((iq.label, lam) for iq, lam in zip(registry, multipliers) if lam)
-        matches = derived.rhs == exact_rhs and derived.lhs == form(ca=1, cb=1, cc=1)
+        matches = derived.rhs == exact_rhs and derived.lhs == Lhs(1, 1, 1)
         checks.append(CombinationCheck(name, used, derived, exact_rhs, matches))
         if recorded_rhs != exact_rhs:
             discrepancies.append(
@@ -426,12 +389,12 @@ def verify_known_combinations() -> tuple[list[CombinationCheck], list[Discrepanc
     # case: recorded constants are 2*3^(1/3) (statement) and 2*3^(1/6)
     # (derivation); the exact optimum is 2^(1/4)*3^(1/6).  The case uses
     # b^4 c^2 < 2N, a factor of 2 looser than the registry's "4b+2c".
-    b4c2_of_2n = _ineq("4b+2c<=N+2", form(cb=4, cc=2), form(cn=1, c2=1))
+    b4c2_of_2n = Inequality(Lhs(cb=4, cc=2), Rhs(cn=1, c2=1), "4b+2c<=N+2")
     cert = optimize(
         [b4c2_of_2n, by_label["3c"], by_label["b-c"]],
-        form(cb=1, cc=1),
+        Lhs(cb=1, cc=1),
     )
-    exact_bc = form(cn=Fraction(5, 12), c2=Fraction(1, 4), c3=Fraction(1, 6))
+    exact_bc = Rhs(cn=Fraction(5, 12), c2=Fraction(1, 4), c3=Fraction(1, 6))
     checks.append(
         CombinationCheck(
             name="bc-5/12",
@@ -454,9 +417,9 @@ def verify_known_combinations() -> tuple[list[CombinationCheck], list[Discrepanc
     return checks, discrepancies
 
 
-def _describe_rhs(rhs: LogLinearForm) -> str:
+def _describe_rhs(rhs: Rhs) -> str:
     parts = []
-    for coeff, name in ((rhs.cn, "logN"), (rhs.c2, "log2"), (rhs.c3, "log3")):
+    for coeff, name in zip(rhs, ("logN", "log2", "log3")):
         if coeff:
             parts.append(f"({coeff}){name}")
     return " + ".join(parts) or "0"
@@ -466,7 +429,6 @@ def format_inequalities(ineqs: Iterable[Inequality]) -> str:
     """One inequality per line: ``label: ca cb cc <= cn c2 c3``."""
     lines = []
     for iq in ineqs:
-        _require_split_form(iq)
         lines.append(
             f"{iq.label}: {iq.lhs.ca} {iq.lhs.cb} {iq.lhs.cc}"
             f" <= {iq.rhs.cn} {iq.rhs.c2} {iq.rhs.c3}"
@@ -500,7 +462,5 @@ def parse_inequalities(text: str) -> list[Inequality]:
             cn, c2, c3 = (Fraction(tok) for tok in rhs_part.split())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {line_no}: bad coefficients: {exc}") from exc
-        result.append(
-            _ineq(label, form(ca=ca, cb=cb, cc=cc), form(cn=cn, c2=c2, c3=c3))
-        )
+        result.append(Inequality(Lhs(ca, cb, cc), Rhs(cn, c2, c3), label))
     return result

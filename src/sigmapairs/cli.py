@@ -63,18 +63,17 @@ def _pair_json(record) -> dict:
     }
 
 
-def _form_json(form) -> dict:
-    return {
-        "ca": str(form.ca), "cb": str(form.cb), "cc": str(form.cc),
-        "cn": str(form.cn), "c2": str(form.c2), "c3": str(form.c3),
-    }
+def _form_json(lhs=(0, 0, 0), rhs=(0, 0, 0)) -> dict:
+    """One side of an inequality as all six coefficients, the other
+    side's three as "0"."""
+    return dict(zip(("ca", "cb", "cc", "cn", "c2", "c3"), map(str, lhs + rhs)))
 
 
 def _inequality_json(ineq) -> dict:
     return {
         "label": ineq.label,
-        "lhs": _form_json(ineq.lhs),
-        "rhs": _form_json(ineq.rhs),
+        "lhs": _form_json(lhs=ineq.lhs),
+        "rhs": _form_json(rhs=ineq.rhs),
     }
 
 
@@ -200,7 +199,7 @@ def _cmd_certify(args):
         if len(tokens) != 3:
             raise ValueError(f"objective must be 'ca cb cc', got {objective_text!r}")
         try:
-            objective = certify_mod.form(*map(Fraction, tokens))
+            objective = certify_mod.Lhs(*map(Fraction, tokens))
         except ZeroDivisionError as exc:
             raise ValueError(f"objective {objective_text!r} divides by zero") from exc
         cert = certify_mod.optimize(system, objective)
@@ -228,7 +227,7 @@ def _cmd_certify(args):
                 "name": c.name,
                 "multipliers": {label: str(lam) for label, lam in c.multipliers},
                 "derived": _inequality_json(c.derived),
-                "expected_rhs": _form_json(c.expected_rhs),
+                "expected_rhs": _form_json(rhs=c.expected_rhs),
                 "matches": c.matches,
             }
             for c in checks

@@ -20,8 +20,9 @@ import pytest
 
 from conftest import KNOWN_PAIRS, json_doc, results_only
 from sigmapairs.certify import (
+    Lhs,
+    Rhs,
     combine,
-    form,
     known_inequalities,
     optimize,
     verify_known_combinations,
@@ -165,21 +166,21 @@ def test_criterion_08_certifier_verification():
     def rhs_of(labels, mults):
         return combine([by_label[l] for l in labels], mults).rhs
 
-    ok = rhs_of(["3c", "2b+2c", "3a+2b+c"], [F(1, 9), F(1, 6), F(1, 3)]) == form(
+    ok = rhs_of(["3c", "2b+2c", "3a+2b+c"], [F(1, 9), F(1, 6), F(1, 3)]) == Rhs(
         cn=F(11, 18), c2=F(5, 12), c3=F(7, 36)
     )
     ok = ok and rhs_of(
         ["3c", "2b+2c", "5a+2b+c"], [F(1, 15), F(3, 10), F(1, 5)]
-    ) == form(cn=F(17, 30), c2=F(7, 20), c3=F(13, 60))
+    ) == Rhs(cn=F(17, 30), c2=F(7, 20), c3=F(13, 60))
     ok = ok and rhs_of(
         ["3c", "3a+2b+2c", "4b+2c"], [F(1, 18), F(1, 3), F(1, 12)]
-    ) == form(cn=F(17, 36), c2=F(1, 3), c3=F(1, 18))
+    ) == Rhs(cn=F(17, 36), c2=F(1, 3), c3=F(1, 18))
     ok = ok and rhs_of(
         ["a-b", "b-c", "2a+2b+3c"], [F(1, 7), F(2, 7), F(3, 7)]
-    ) == form(cn=F(3, 7), c2=F(3, 7))
+    ) == Rhs(cn=F(3, 7), c2=F(3, 7))
 
     easy_abc = [by_label[l] for l in ("3c", "2b+2c", "3a+2b+c", "a-b", "b-c")]
-    cert = optimize(easy_abc, form(ca=1, cb=1, cc=1))
+    cert = optimize(easy_abc, Lhs(ca=1, cb=1, cc=1))
     ok = ok and cert.derived.rhs.cn == F(11, 18)
 
     _, discrepancies = verify_known_combinations()

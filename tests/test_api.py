@@ -48,12 +48,15 @@ def test_package_reexports_only_public_names():
 
 @pytest.mark.parametrize("module, name", [
     ("arith", "gcd"),
+    ("certify", "LogLinearForm"),
+    ("certify", "form"),
     ("chains", "chain_invariant"),
     ("chains", "quadratic_identity_holds"),
     ("search", "heuristic_tail"),
 ])
 def test_retired_names(module, name):
     # each restated a kept entry point: math.gcd, the m = 2 identity on
-    # chain terms, and heuristic_tail_parts
+    # chain terms, and heuristic_tail_parts; certify's six-coefficient
+    # form held states that Lhs and Rhs cannot
     assert name not in importlib.import_module(f"sigmapairs.{module}").__all__
     assert not hasattr(sigmapairs, name)

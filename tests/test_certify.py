@@ -1,3 +1,8 @@
+import contextlib
+import hashlib
+import io
+import re
+import shlex
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -9,10 +14,11 @@ from sigmapairs.certify import (
     Certificate,
     Inequality,
     Infeasible,
+    Lhs,
     NegativeMultiplier,
+    Rhs,
     combine,
     entails,
-    form,
     format_inequalities,
     known_inequalities,
     literal_bc_inequality,
@@ -20,6 +26,7 @@ from sigmapairs.certify import (
     parse_inequalities,
     verify_known_combinations,
 )
+from sigmapairs.cli import main as cli_main
 
 
 def registry_map():
@@ -34,24 +41,24 @@ class TestRegistry:
 
     def test_largest_prime_cube_entry_stored_unnormalized(self):
         entry = registry_map()["3c"]
-        assert entry.lhs == form(cc=3)
-        assert entry.rhs == form(cn=1, c3=1)
+        assert entry.lhs == Lhs(cc=3)
+        assert entry.rhs == Rhs(cn=1, c3=1)
 
     def test_trivial_ordering_entries_have_zero_rhs(self):
         by_label = registry_map()
-        assert by_label["a-b"].rhs == form()
-        assert by_label["b-c"].rhs == form()
-        assert by_label["a-b"].lhs == form(ca=1, cb=-1)
+        assert by_label["a-b"].rhs == Rhs()
+        assert by_label["b-c"].rhs == Rhs()
+        assert by_label["a-b"].lhs == Lhs(ca=1, cb=-1)
 
     def test_bc_entry_uses_second_and_largest_primes(self):
         entry = registry_map()["2b+2c"]
-        assert entry.lhs == form(cb=2, cc=2)
-        assert entry.rhs == form(cn=1, c2=F(1, 2), c3=F(1, 2))
+        assert entry.lhs == Lhs(cb=2, cc=2)
+        assert entry.rhs == Rhs(cn=1, c2=F(1, 2), c3=F(1, 2))
 
     def test_literal_variant_kept_under_distinct_label(self):
         literal = literal_bc_inequality()
         assert literal.label == "2a+2b"
-        assert literal.lhs == form(ca=2, cb=2)
+        assert literal.lhs == Lhs(ca=2, cb=2)
 
 
 class TestCombine:
@@ -61,8 +68,8 @@ class TestCombine:
             [by_label["3c"], by_label["2b+2c"], by_label["3a+2b+c"]],
             [F(1, 9), F(1, 6), F(1, 3)],
         )
-        assert derived.lhs == form(ca=1, cb=1, cc=1)
-        assert derived.rhs == form(cn=F(11, 18), c2=F(5, 12), c3=F(7, 36))
+        assert derived.lhs == Lhs(ca=1, cb=1, cc=1)
+        assert derived.rhs == Rhs(cn=F(11, 18), c2=F(5, 12), c3=F(7, 36))
 
     def test_seventeen_thirtieths_combination(self):
         by_label = registry_map()
@@ -70,13 +77,13 @@ class TestCombine:
             [by_label["3c"], by_label["2b+2c"], by_label["5a+2b+c"]],
             [F(1, 15), F(3, 10), F(1, 5)],
         )
-        assert derived.lhs == form(ca=1, cb=1, cc=1)
-        assert derived.rhs == form(cn=F(17, 30), c2=F(7, 20), c3=F(13, 60))
+        assert derived.lhs == Lhs(ca=1, cb=1, cc=1)
+        assert derived.rhs == Rhs(cn=F(17, 30), c2=F(7, 20), c3=F(13, 60))
 
     def test_zero_multipliers_give_zero_inequality(self):
         derived = combine(known_inequalities(), [0] * 14)
-        assert derived.lhs == form()
-        assert derived.rhs == form()
+        assert derived.lhs == Lhs()
+        assert derived.rhs == Rhs()
 
     def test_rejects_negative_multiplier(self):
         with pytest.raises(NegativeMultiplier):
@@ -93,8 +100,9 @@ class TestCombine:
     @settings(max_examples=50)
     def test_linearity(self, lam, mu):
         registry = known_inequalities()
-        separate_lhs = combine(registry, lam).lhs.plus(combine(registry, mu).lhs)
-        separate_rhs = combine(registry, lam).rhs.plus(combine(registry, mu).rhs)
+        first, second = combine(registry, lam), combine(registry, mu)
+        separate_lhs = Lhs(*map(sum, zip(first.lhs, second.lhs)))
+        separate_rhs = Rhs(*map(sum, zip(first.rhs, second.rhs)))
         joint = combine(registry, [a + b for a, b in zip(lam, mu)])
         assert joint.lhs == separate_lhs
         assert joint.rhs == separate_rhs
@@ -108,7 +116,7 @@ class TestEntails:
     def test_smaller_rhs_coefficient_entails(self):
         target = known_inequalities()[0]
         tighter = type(target)(
-            lhs=target.lhs, rhs=form(cn=F(1, 2), c3=1), label="tighter"
+            lhs=target.lhs, rhs=Rhs(cn=F(1, 2), c3=1), label="tighter"
         )
         assert entails(tighter, target)
         assert not entails(target, tighter)
@@ -117,13 +125,13 @@ class TestEntails:
         # (11/18)logN + (5/12)log2 + (7/36)log3 does not coefficient-wise
         # entail (11/18)logN + 1*log2 even though numerically it would
         derived = type(known_inequalities()[0])(
-            lhs=form(ca=1, cb=1, cc=1),
-            rhs=form(cn=F(11, 18), c2=F(5, 12), c3=F(7, 36)),
+            lhs=Lhs(ca=1, cb=1, cc=1),
+            rhs=Rhs(cn=F(11, 18), c2=F(5, 12), c3=F(7, 36)),
             label="derived",
         )
         target = type(derived)(
-            lhs=form(ca=1, cb=1, cc=1),
-            rhs=form(cn=F(11, 18), c2=1),
+            lhs=Lhs(ca=1, cb=1, cc=1),
+            rhs=Rhs(cn=F(11, 18), c2=1),
             label="target",
         )
         assert not entails(derived, target)
@@ -136,7 +144,7 @@ class TestOptimize:
             by_label["3c"], by_label["2b+2c"], by_label["3a+2b+c"],
             by_label["a-b"], by_label["b-c"],
         ]
-        cert = optimize(system, form(ca=1, cb=1, cc=1))
+        cert = optimize(system, Lhs(ca=1, cb=1, cc=1))
         assert cert.derived.rhs.cn == F(11, 18)
         assert dict(cert.multipliers) == {
             "3c": F(1, 9), "2b+2c": F(1, 6), "3a+2b+c": F(1, 3),
@@ -149,7 +157,7 @@ class TestOptimize:
             by_label["3c"], by_label["2b+2c"], by_label["3a+2b+c"],
             by_label["a-b"], by_label["b-c"],
         ]
-        cert = optimize(system, form(ca=1, cb=1, cc=1))
+        cert = optimize(system, Lhs(ca=1, cb=1, cc=1))
         rebuilt = combine(system, [lam for _, lam in cert.multipliers])
         assert rebuilt.lhs == cert.derived.lhs
         assert rebuilt.rhs == cert.derived.rhs
@@ -159,50 +167,26 @@ class TestOptimize:
         by_label = registry_map()
         loosened = parse_inequalities("4b+2c<=N+2: 0 4 2 <= 1 1 0\n")[0]
         cert = optimize(
-            [loosened, by_label["3c"], by_label["b-c"]], form(cb=1, cc=1)
+            [loosened, by_label["3c"], by_label["b-c"]], Lhs(cb=1, cc=1)
         )
-        assert cert.derived.rhs == form(cn=F(5, 12), c2=F(1, 4), c3=F(1, 6))
+        assert cert.derived.rhs == Rhs(cn=F(5, 12), c2=F(1, 4), c3=F(1, 6))
 
     def test_three_fifths_system(self):
         by_label = registry_map()
         cert = optimize(
-            [by_label["5b"], by_label["a+c-2b"]], form(ca=1, cb=1, cc=1)
+            [by_label["5b"], by_label["a+c-2b"]], Lhs(ca=1, cb=1, cc=1)
         )
-        assert cert.derived.rhs == form(cn=F(3, 5), c2=F(8, 5))
+        assert cert.derived.rhs == Rhs(cn=F(3, 5), c2=F(8, 5))
         assert dict(cert.multipliers) == {"5b": F(3, 5), "a+c-2b": F(1)}
 
     def test_infeasible_objective(self):
         by_label = registry_map()
         with pytest.raises(Infeasible):
-            optimize([by_label["b-c"]], form(ca=1, cb=1, cc=1))
-
-    def test_rejects_constant_terms_in_objective(self):
-        with pytest.raises(ValueError):
-            optimize(known_inequalities(), form(ca=1, cn=1))
+            optimize([by_label["b-c"]], Lhs(ca=1, cb=1, cc=1))
 
     def test_rejects_an_empty_system(self):
         with pytest.raises(ValueError, match="nonempty"):
-            optimize([], form(ca=1, cb=1, cc=1))
-
-    @pytest.mark.parametrize(
-        "lhs, rhs, message",
-        [
-            (form(cb=1, cn=1), form(cn=1), "lhs must only involve a, b, c"),
-            (form(cb=1, c2=1), form(cn=1), "lhs must only involve a, b, c"),
-            (form(cb=1, c3=1), form(cn=1), "lhs must only involve a, b, c"),
-            (form(cb=1), form(cn=1, ca=1), "rhs must only involve logN"),
-            (form(cb=1), form(cn=1, cb=1), "rhs must only involve logN"),
-            (form(cb=1), form(cn=1, cc=1), "rhs must only involve logN"),
-        ],
-    )
-    def test_rejects_an_inequality_not_in_split_form(self, lhs, rhs, message):
-        # optimize and format_inequalities read the lhs as a, b, c and
-        # the rhs as logN, log2, log3 only
-        mixed = Inequality(lhs=lhs, rhs=rhs, label="mixed")
-        with pytest.raises(ValueError, match=f"'mixed': {message}"):
-            optimize([registry_map()["3c"], mixed], form(cb=1))
-        with pytest.raises(ValueError, match=f"'mixed': {message}"):
-            format_inequalities([mixed])
+            optimize([], Lhs(ca=1, cb=1, cc=1))
 
     def test_constant_tie_breaking_prefers_smaller_exact_value(self):
         # two routes to beta with equal logN cost but different constants:
@@ -210,7 +194,7 @@ class TestOptimize:
         system = parse_inequalities(
             "via2: 0 1 0 <= 1 1 0\nvia3: 0 1 0 <= 1 0 1\n"
         )
-        cert = optimize(system, form(cb=1))
+        cert = optimize(system, Lhs(cb=1))
         assert dict(cert.multipliers)["via2"] == 1
         assert dict(cert.multipliers)["via3"] == 0
 
@@ -220,7 +204,7 @@ class TestOptimize:
         system = parse_inequalities(
             "eight_twos: 0 1 0 <= 1 8 0\nfive_threes: 0 1 0 <= 1 0 5\n"
         )
-        cert = optimize(system, form(cb=1))
+        cert = optimize(system, Lhs(cb=1))
         assert dict(cert.multipliers)["five_threes"] == 1
 
     def test_frozen_log2_3_bracket_agrees_with_exact_powering(self):
@@ -248,7 +232,7 @@ class TestOptimize:
         system = parse_inequalities(
             f"tiny2: 0 1 0 <= 1 15/{big} 0\nthree: 0 1 0 <= 1 0 1/100000000\n"
         )
-        cert = optimize(system, form(cb=1))
+        cert = optimize(system, Lhs(cb=1))
         # 15/big * log2 < (1/1e8) * log3 is false: 15/1e9 < 1/1e8 numerically
         assert dict(cert.multipliers)["tiny2"] == 1
 
@@ -262,15 +246,15 @@ class TestOptimize:
         size = data.draw(st.integers(1, 6))
         system = [
             Inequality(
-                lhs=form(ca=data.draw(coeff), cb=data.draw(coeff),
+                lhs=Lhs(ca=data.draw(coeff), cb=data.draw(coeff),
                          cc=data.draw(coeff)),
-                rhs=form(cn=data.draw(cost), c2=data.draw(cost),
+                rhs=Rhs(cn=data.draw(cost), c2=data.draw(cost),
                          c3=data.draw(cost)),
                 label=f"r{i}",
             )
             for i in range(size)
         ]
-        objective = form(ca=data.draw(st.integers(0, 2)),
+        objective = Lhs(ca=data.draw(st.integers(0, 2)),
                          cb=data.draw(st.integers(0, 2)),
                          cc=data.draw(st.integers(0, 2)))
         try:
@@ -310,9 +294,8 @@ def _reference_optimize(ineqs, objective):
     from sigmapairs.certify import _cost_less
 
     m = len(ineqs)
-    rows = [[iq.lhs.ca for iq in ineqs], [iq.lhs.cb for iq in ineqs],
-            [iq.lhs.cc for iq in ineqs]]
-    need = [objective.ca, objective.cb, objective.cc]
+    rows = [[F(iq.lhs[r]) for iq in ineqs] for r in range(3)]
+    need = [F(c) for c in objective]
     costs = [(iq.rhs.cn, iq.rhs.c2, iq.rhs.c3) for iq in ineqs]
     best_cost = best_lambda = None
     for k in range(min(3, m) + 1):
@@ -355,7 +338,7 @@ class TestOptimizeMatchesReference:
     @pytest.mark.parametrize("ca, cb, cc", list(product(range(-1, 4), repeat=3)))
     def test_every_small_objective_over_the_registry(self, ca, cb, cc):
         registry = known_inequalities()
-        objective = form(ca=ca, cb=cb, cc=cc)
+        objective = Lhs(ca=ca, cb=cb, cc=cc)
         assert _outcome(optimize, registry, objective) == _outcome(
             _reference_optimize, registry, objective
         )
@@ -369,13 +352,13 @@ class TestOptimizeMatchesReference:
         cost = st.integers(0, 1)
         system = [
             Inequality(
-                lhs=form(ca=data.draw(coeff), cb=data.draw(coeff), cc=data.draw(coeff)),
-                rhs=form(cn=data.draw(cost), c2=data.draw(cost), c3=data.draw(cost)),
+                lhs=Lhs(ca=data.draw(coeff), cb=data.draw(coeff), cc=data.draw(coeff)),
+                rhs=Rhs(cn=data.draw(cost), c2=data.draw(cost), c3=data.draw(cost)),
                 label=f"r{i}",
             )
             for i in range(data.draw(st.integers(1, 8)))
         ]
-        objective = form(*(data.draw(st.integers(-1, 2)) for _ in range(3)))
+        objective = Lhs(*(data.draw(st.integers(-1, 2)) for _ in range(3)))
         assert _outcome(optimize, system, objective) == _outcome(
             _reference_optimize, system, objective
         )
@@ -395,9 +378,9 @@ def _fraction_cramer_optimize(ineqs, objective):
     from sigmapairs.certify import _cost_less
 
     m = len(ineqs)
-    columns = [iq.lhs.coefficients()[:3] + iq.rhs.coefficients()[3:] for iq in ineqs]
+    columns = [tuple(map(F, iq.lhs + iq.rhs)) for iq in ineqs]
     surplus = [tuple(F(-1 if r == s else 0) for s in range(6)) for r in range(3)]
-    need = (objective.ca, objective.cb, objective.cc)
+    need = tuple(map(F, objective))
     best_cost = best_vertex = None
     for k in range(0, min(3, m) + 1):
         for tight_rows in combinations(range(3), k):
@@ -430,7 +413,7 @@ class TestIntegerKernelMatchesFractionCramer:
     @pytest.mark.parametrize("ca, cb, cc", list(product(range(-1, 4), repeat=3)))
     def test_every_small_objective_over_the_registry(self, ca, cb, cc):
         registry = known_inequalities()
-        objective = form(ca=ca, cb=cb, cc=cc)
+        objective = Lhs(ca=ca, cb=cb, cc=cc)
         assert _outcome(optimize, registry, objective) == _outcome(
             _fraction_cramer_optimize, registry, objective
         )
@@ -442,13 +425,13 @@ class TestIntegerKernelMatchesFractionCramer:
         cost = st.builds(F, st.integers(0, 2), st.integers(1, 3))
         system = [
             Inequality(
-                lhs=form(ca=data.draw(coeff), cb=data.draw(coeff), cc=data.draw(coeff)),
-                rhs=form(cn=data.draw(cost), c2=data.draw(cost), c3=data.draw(cost)),
+                lhs=Lhs(ca=data.draw(coeff), cb=data.draw(coeff), cc=data.draw(coeff)),
+                rhs=Rhs(cn=data.draw(cost), c2=data.draw(cost), c3=data.draw(cost)),
                 label=f"r{i}",
             )
             for i in range(data.draw(st.integers(1, 8)))
         ]
-        objective = form(*(data.draw(coeff) for _ in range(3)))
+        objective = Lhs(*(data.draw(coeff) for _ in range(3)))
         assert _outcome(optimize, system, objective) == _outcome(
             _fraction_cramer_optimize, system, objective
         )
@@ -460,10 +443,10 @@ class TestIntegerKernelMatchesFractionCramer:
     ])
     def test_infeasible_from_both(self, lhs, objective):
         system = [
-            Inequality(lhs=form(*coeffs), rhs=form(cn=1), label=f"r{i}")
+            Inequality(lhs=Lhs(*coeffs), rhs=Rhs(cn=1), label=f"r{i}")
             for i, coeffs in enumerate(lhs)
         ]
-        target = form(*objective)
+        target = Lhs(*objective)
         assert _outcome(optimize, system, target) is Infeasible
         assert _outcome(_fraction_cramer_optimize, system, target) is Infeasible
 
@@ -479,18 +462,18 @@ class TestVerification:
     def test_exact_constants_of_the_headline_combinations(self):
         checks, _ = verify_known_combinations()
         by_name = {check.name: check for check in checks}
-        assert by_name["abc-11/18"].derived.rhs == form(
+        assert by_name["abc-11/18"].derived.rhs == Rhs(
             cn=F(11, 18), c2=F(5, 12), c3=F(7, 36)
         )
-        assert by_name["abc-17/30"].derived.rhs == form(
+        assert by_name["abc-17/30"].derived.rhs == Rhs(
             cn=F(17, 30), c2=F(7, 20), c3=F(13, 60)
         )
-        assert by_name["abc-17/36"].derived.rhs == form(
+        assert by_name["abc-17/36"].derived.rhs == Rhs(
             cn=F(17, 36), c2=F(1, 3), c3=F(1, 18)
         )
-        assert by_name["abc-3/7"].derived.rhs == form(cn=F(3, 7), c2=F(3, 7))
-        assert by_name["abc-3/8"].derived.rhs == form(cn=F(3, 8))
-        assert by_name["abc-5/9"].derived.rhs == form(cn=F(5, 9), c3=F(2, 9))
+        assert by_name["abc-3/7"].derived.rhs == Rhs(cn=F(3, 7), c2=F(3, 7))
+        assert by_name["abc-3/8"].derived.rhs == Rhs(cn=F(3, 8))
+        assert by_name["abc-5/9"].derived.rhs == Rhs(cn=F(5, 9), c3=F(2, 9))
 
     def test_discrepancies_reported(self):
         _, discrepancies = verify_known_combinations()
@@ -520,8 +503,8 @@ class TestInequalityFiles:
 
     def test_fraction_coefficients(self):
         parsed = parse_inequalities("x: 1/2 -2 1/3 <= 11/18 0 7/36\n")
-        assert parsed[0].lhs == form(ca=F(1, 2), cb=-2, cc=F(1, 3))
-        assert parsed[0].rhs == form(cn=F(11, 18), c3=F(7, 36))
+        assert parsed[0].lhs == Lhs(ca=F(1, 2), cb=-2, cc=F(1, 3))
+        assert parsed[0].rhs == Rhs(cn=F(11, 18), c3=F(7, 36))
 
     @pytest.mark.parametrize(
         "bad",
@@ -541,3 +524,47 @@ class TestInequalityFiles:
         # label-keyed certificate could not rebuild its own bound
         with pytest.raises(ValueError, match="line 3: repeated label 'x'"):
             parse_inequalities("x: 0 1 0 <= 1 0 0\n\nx : 0 0 1 <= 1 0 0\n")
+
+
+# The inequality file that README shows for ``certify --ineqs``.
+_README_INEQS = (
+    "3c: 0 0 3 <= 1 0 1\n"
+    "2b+2c: 0 2 2 <= 1 1/2 1/2\n"
+    "a-b: 1 -1 0 <= 0 0 0\n"
+)
+
+# Both modes in both formats, every objective in {-1..3}^3, the README
+# file, and the error paths; the file is read from a fixed relative
+# path, since ``params`` echoes it.
+_CERTIFY_RUNS = [
+    ("certify",),
+    ("certify", "--json"),
+    ("certify", "--optimize"),
+    ("certify", "--optimize", "--json"),
+    *(
+        ("certify", "--optimize", "--objective", f"{ca} {cb} {cc}", "--json")
+        for ca, cb, cc in product(range(-1, 4), repeat=3)
+    ),
+    ("certify", "--optimize", "--ineqs", "readme.ineq"),
+    ("certify", "--optimize", "--ineqs", "readme.ineq", "--json"),
+    ("certify", "--optimize", "--objective", "1 1", "--json"),
+    ("certify", "--optimize", "--objective", "1 1 1/0", "--json"),
+    ("certify", "--ineqs", "readme.ineq", "--json"),
+]
+
+CERTIFY_DIGEST = "5fc393647d31045996f0e5451b4b85b763ac8fca78da00cc12898ea24c43d3f1"
+
+
+def test_certify_outputs_match_their_digest(tmp_path, monkeypatch):
+    # exit code, stdout with elapsed_ms masked, and stderr of each run
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "readme.ineq").write_text(_README_INEQS, encoding="ascii")
+    digest = hashlib.sha256()
+    for argv in _CERTIFY_RUNS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(list(argv))
+        stdout = re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": 0', out.getvalue())
+        digest.update(f"{shlex.join(argv)}\n{code}\n{stdout}\0{err.getvalue()}\0".encode())
+    assert len(_CERTIFY_RUNS) == 134
+    assert digest.hexdigest() == CERTIFY_DIGEST

@@ -429,12 +429,13 @@ def _logged_sieve(monkeypatch, log_path):
     return calls
 
 
-def _confirm_walk(monkeypatch, terms, indices):
+def _confirm_walk(monkeypatch, terms, indices, states=None):
     """Stages (c) and (d) of the pairs (terms[i], terms[i + 1]) for i in
     ``indices``, at chain index i + 1, as a walk queues them: the state at
     n = i + 2 before each pair, and one more state at the end.  Returns
-    the records and the states written."""
-    states = []
+    the records and the states written, which also go to ``states`` as
+    they are written when it is given."""
+    states = [] if states is None else states
     monkeypatch.setattr(search, "write_checkpoint", lambda _, state: states.append(state))
     confirmer = search._Confirmer(2, _FEW_ROUNDS, "unused", [], max(terms))
     try:
@@ -454,6 +455,10 @@ def _cached_is_prime(x, rounds=DEFAULT_ROUNDS):
     return is_prime(x, rounds)
 
 
+class _WorkerFailure(Exception):
+    """An error raised by the job a worker runs."""
+
+
 class _ScheduledJob:
     def __init__(self, result, delay):
         self._result = result
@@ -464,6 +469,8 @@ class _ScheduledJob:
         return self._delay < 0
 
     def get(self):
+        if isinstance(self._result, _WorkerFailure):
+            raise self._result
         return self._result
 
 
@@ -473,14 +480,22 @@ class _ScheduledPool:
     of them and returns a pickled copy of its result, as the pipes to a
     worker would.  The k-th job answers ``ready()`` with False the first
     ``delays[k]`` times (none once the delays run out), so the jobs finish
-    in the order they give."""
+    in the order they give.  A job numbered in ``failing`` (from 0) is not
+    run, and its ``get()`` raises :class:`_WorkerFailure`, as the job of
+    a worker that raised does."""
 
-    def __init__(self, delays):
+    def __init__(self, delays, failing=()):
         self._delays = iter(delays)
+        self._failing = failing
+        self._jobs = 0
 
     def apply_async(self, func, args):
         assert all(type(arg) is int for arg in args), args
-        result = func(*pickle.loads(pickle.dumps(args)))
+        k, self._jobs = self._jobs, self._jobs + 1
+        if k in self._failing:
+            result = _WorkerFailure(f"job {k}")
+        else:
+            result = func(*pickle.loads(pickle.dumps(args)))
         return _ScheduledJob(pickle.loads(pickle.dumps(result)), next(self._delays, 0))
 
     def terminate(self):
@@ -602,6 +617,20 @@ class TestPooledConfirmation:
         assert states == serial_states
         assert calls == serial_calls
         assert calls["confirm"] == [(terms[i], terms[i + 1]) for i in indices]
+
+    def test_a_failed_job_ends_the_queue_at_its_pair(self, monkeypatch):
+        # the second pair's job fails after the walk has queued the next
+        # state and pair: the states before that pair are written, and
+        # none after it
+        _forced_pool(monkeypatch, 2)
+        pool = _ScheduledPool([0, 2], failing={1})
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: (
+            types.SimpleNamespace(Pool=lambda processes, initializer: pool)))
+        states = []
+        terms = [_MR_COMPOSITE, _P1, _P2, _TD_COMPOSITE]
+        with pytest.raises(_WorkerFailure, match="job 1"):
+            _confirm_walk(monkeypatch, terms, [0, 1, 2], states)
+        assert [(s.n, s.found) for s in states] == [(2, ()), (3, ())]
 
     def test_small_searches_import_no_process_modules(self):
         # the pool's modules are imported with the pool, and these
@@ -807,6 +836,38 @@ class TestResumeAcrossThePool:
         assert load_checkpoint(path).n == interrupt_at
         resumed = search_pairs(
             2, digits_limit=700, checkpoint=load_checkpoint(path),
+            checkpoint_path=path, checkpoint_every=5,
+        )
+        assert resumed == serial_records
+        with open(path, "rb") as handle:
+            assert handle.read() == serial_file
+
+
+    def test_a_failing_worker_ends_the_search_at_its_last_checkpoint(
+        self, monkeypatch, tmp_path, serial_walk
+    ):
+        # stage (d) raises in a worker on the first pooled pair: the
+        # search raises it and ends the pool, and the last file written,
+        # at n = 737 before that pair, resumes to the uninterrupted walk
+        _, serial_records, serial_file = serial_walk
+        _forced_pool(monkeypatch, 2)
+
+        def failing(x, rounds=DEFAULT_ROUNDS):
+            if x >= 10**499:
+                raise _WorkerFailure(os.getpid())
+            return is_prime(x, rounds)
+
+        monkeypatch.setattr(search, "is_prime", failing)
+        path = str(tmp_path / "walk.ck")
+        with pytest.raises(_WorkerFailure) as raised:
+            search_pairs(2, digits_limit=700, checkpoint_path=path, checkpoint_every=5)
+        assert raised.value.args[0] != os.getpid()
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(search, "is_prime", is_prime)
+        checkpoint = load_checkpoint(path)
+        assert checkpoint.n == 737
+        resumed = search_pairs(
+            2, digits_limit=700, checkpoint=checkpoint,
             checkpoint_path=path, checkpoint_every=5,
         )
         assert resumed == serial_records
