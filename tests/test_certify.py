@@ -188,6 +188,28 @@ class TestOptimize:
         with pytest.raises(ValueError, match="nonempty"):
             optimize([], Lhs(ca=1, cb=1, cc=1))
 
+    def test_rejects_constant_terms_in_objective(self):
+        # an objective is an Lhs, which has no logN, log2 or log3 slot
+        with pytest.raises(TypeError, match="'cn'"):
+            optimize(known_inequalities(), Lhs(ca=1, cn=1))
+
+    @pytest.mark.parametrize(
+        "lhs, rhs, stray",
+        [
+            (dict(cb=1, cn=1), dict(cn=1), "cn"),
+            (dict(cb=1, c2=1), dict(cn=1), "c2"),
+            (dict(cb=1, c3=1), dict(cn=1), "c3"),
+            (dict(cb=1), dict(cn=1, ca=1), "ca"),
+            (dict(cb=1), dict(cn=1, cb=1), "cb"),
+            (dict(cb=1), dict(cn=1, cc=1), "cc"),
+        ],
+    )
+    def test_rejects_an_inequality_not_in_split_form(self, lhs, rhs, stray):
+        # Lhs holds only a, b, c and Rhs only logN, log2, log3, so a term
+        # on the wrong side fails when the side is built
+        with pytest.raises(TypeError, match=f"'{stray}'"):
+            Inequality(lhs=Lhs(**lhs), rhs=Rhs(**rhs), label="mixed")
+
     def test_constant_tie_breaking_prefers_smaller_exact_value(self):
         # two routes to beta with equal logN cost but different constants:
         # log2 < log3 so the log2 route must win
