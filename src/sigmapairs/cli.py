@@ -154,10 +154,13 @@ def _oracle_report_json(report) -> dict:
 
 def _cmd_lemmas(args):
     selected = [args.only] if args.only else sorted(oracles.ORACLES)
-    reports = []
+    runs = []
     for lemma_id in selected:
         func, default_bound = oracles.ORACLES[lemma_id]
-        reports.append(func(default_bound if args.bound is None else args.bound))
+        bound = default_bound if args.bound is None else args.bound
+        oracles.check_bound(lemma_id, bound)
+        runs.append((func, bound))
+    reports = [func(bound) for func, bound in runs]
     params = {
         "only": args.only,
         "bound": None if args.bound is None else str(args.bound),
@@ -314,8 +317,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--only", default=None, choices=sorted(oracles.ORACLES),
                    help="single lemma id")
     p.add_argument("--bound", type=int, default=None,
-                   help="override each oracle's default bound; gcd reads "
-                        "it as a number of chain terms and needs at least 4")
+                   help="override each oracle's default bound, up to 10^7; "
+                        "gcd reads it as a number of chain terms, from 4 "
+                        "to 10^4")
     p.set_defaults(func=_cmd_lemmas)
 
     p = add("certify", "exact-rational inequality certificates")

@@ -13,11 +13,15 @@ The one exception is ``sigma33``: its four cases cover every pair by
 the factorization sigma(x^3) = (x+1)(x^2+1), so its report is set by
 that proof and enumerates nothing.
 
-The oracles that turn on divisors of x^2+1 (``s_classification``) or
-of x^2+x+1 (``no_square_pair``, ``pqr``, ``linked``) read them from one
-streaming root sieve, :func:`_quadratic_factors`.  It factors every
-x^2+bx+1 up to the bound completely, so the enumeration still misses no
-solution.
+The oracles that turn on divisors of x^2+x+1 (``no_square_pair``,
+``pqr``, ``linked``) read the sigma_{2,2} prime pairs, primes p < q
+with q | p^2+p+1 and p | q^2+q+1, from :func:`_sigma22_prime_pairs`.
+For each prime q up to the bound it tries as p only the roots of
+x^2+x+1 mod q, which are exactly the p < q with q | p^2+p+1, so no
+pair is missed.  ``s_classification`` reads the factors of x^2+1 from
+a streaming root sieve, :func:`_quadratic_factors`, which factors every
+x^2+1 up to the bound completely.  :func:`check_bound` refuses a bound
+above 10^7, or above 10^4 chain terms for ``gcd``.
 
 Known honest failure: :func:`oracle_gcd` checks the claim that
 gcd(p^2+p+1, q^2+q+1) divides 3 along the chain.  That claim is false:
@@ -41,6 +45,7 @@ from .chains import generate_s, generate_u
 __all__ = [
     "ORACLES",
     "OracleReport",
+    "check_bound",
     "oracle_gcd",
     "oracle_linked",
     "oracle_no_square_pair",
@@ -76,6 +81,24 @@ def _report(lemma_id: str, bound: int, witnesses: Iterable, expected: Iterable,
     )
 
 
+# The largest bound an oracle takes, as for ``arith.small_primes``: the
+# sieves hold a byte per integer up to the bound and a list of its
+# primes.  gcd reads its bound as a number of chain terms, which grow
+# by about 0.7 digits a term, so it gets a bound of its own.
+_BOUND_LIMIT = 10**7
+_GCD_TERM_LIMIT = 10**4
+
+
+def check_bound(lemma_id: str, bound: int) -> None:
+    """Refuse a bound above the oracle's limit with a ValueError, so that
+    a run too large to finish is turned away before any work."""
+    if lemma_id == "gcd" and bound > _GCD_TERM_LIMIT:
+        raise ValueError(
+            f"need at most {_GCD_TERM_LIMIT} chain terms, got {bound}")
+    if bound > _BOUND_LIMIT:
+        raise ValueError(f"bound must be <= {_BOUND_LIMIT}, got {bound}")
+
+
 def _primes_up_to(bound: int) -> list[int]:
     if bound < 2:
         return []
@@ -104,22 +127,22 @@ def oracle_p_div_q1(bound: int) -> OracleReport:
     return _report("p_div_q1", bound, witnesses, expected)
 
 
-def _quadratic_factors(b: int, bound: int) -> Iterator[tuple[int, list[int]]]:
+def _quadratic_factors(bound: int) -> Iterator[tuple[int, list[int]]]:
     """Yield (x, factors) for x = 1 .. bound, where factors lists the
-    prime factors of x^2 + bx + 1 (b = 0 or 1) with multiplicity, each
-    prime's copies next to each other.
+    prime factors of x^2 + 1 with multiplicity, each prime's copies next
+    to each other.
 
     A streaming root sieve: ``hits`` maps an index to the primes with a
     root there, and is all the state kept.  The primes popped at x are
-    every prime p <= x dividing x^2 + bx + 1, each found at the least
-    root of its class mod p and rescheduled p steps on.  What is left
-    once they are divided out is 1 or a single prime above x, since two
-    factors above x exceed x^2 + bx + 1.  Every prime found at x is
-    scheduled at x + p, unless that is past ``bound``.
+    every prime p <= x dividing x^2 + 1, each found at the least root of
+    its class mod p and rescheduled p steps on.  What is left once they
+    are divided out is 1 or a single prime above x, since two factors
+    above x exceed x^2 + 1.  Every prime found at x is scheduled at
+    x + p, unless that is past ``bound``.
     """
     hits: dict[int, list[int]] = {}
     for x in range(1, bound + 1):
-        value = x * x + b * x + 1
+        value = x * x + 1
         factors = []
         primes = hits.pop(x, [])
         for p in primes:
@@ -152,46 +175,88 @@ def _divisors(factors: list[int], bound: int) -> list[int]:
     return divisors
 
 
+def _sigma2_roots(q: int) -> tuple[int, ...]:
+    """The x in [1, q) with q | x^2+x+1, for a prime q.
+
+    Proof.  0 is no root, and a root x has x^3 - 1 =
+    (x - 1)(x^2 + x + 1) = 0 (mod q).  For q = 3, x^2 + x + 1 =
+    (x - 1)^2 (mod 3), so 1 is the only root.  For any other q, 1 is no
+    root, as q does not divide 3, so a root has order 3 in the group of
+    units mod q, and 3 divides q - 1: there is no root unless
+    q = 1 (mod 3).  Then x^((q-1)/3) = 1 has at most (q - 1)/3 roots,
+    so some g has w = g^((q-1)/3) != 1; w^3 = g^(q-1) = 1, so w has
+    order 3 and is a root.  The two roots of x^2 + x + 1 sum to -1, so
+    the other is q - 1 - w; it differs from w, since 2w = -1 would give
+    4(w^2 + w + 1) = 3 != 0, and a quadratic mod a prime has no third
+    root.
+    """
+    if q == 3:
+        return (1,)
+    if q % 3 != 1:
+        return ()
+    exponent = (q - 1) // 3
+    g = 2
+    while (w := pow(g, exponent, q)) == 1:
+        g += 1
+    return (w, q - 1 - w)
+
+
+def _sigma22_prime_pairs(bound: int) -> set[tuple[int, int]]:
+    """The sigma_{2,2} prime pairs (p, q) with p < q <= bound."""
+    primes = _primes_up_to(bound)
+    prime_set = set(primes)
+    return {
+        (p, q)
+        for q in primes
+        for p in _sigma2_roots(q)
+        if p in prime_set and (q * q + q + 1) % p == 0
+    }
+
+
+def _prime_divisors(n: int) -> set[int]:
+    """The primes dividing n >= 1, by trial division."""
+    primes = set()
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.add(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        primes.add(n)
+    return primes
+
+
 def oracle_no_square_pair(bound: int) -> OracleReport:
     """Primes p, q <= bound with p^2 | q^2+q+1 and q | p^2+p+1; no
-    solutions exist."""
-    primes = set(_primes_up_to(bound))
-    witnesses = []
-    for q, factors in _quadratic_factors(1, bound):
-        if q in primes:
-            # p^2 <= q^2+q+1 keeps p <= q <= bound
-            witnesses.extend(
-                (p, q) for p in set(factors)
-                if factors.count(p) >= 2 and (p * p + p + 1) % q == 0
-            )
+    solutions exist.
+
+    p^2 <= q^2+q+1 < (q+1)^2 gives p <= q, and q does not divide
+    q^2+q+1, so p < q and (p, q) is a sigma_{2,2} prime pair."""
+    witnesses = [
+        (p, q) for p, q in _sigma22_prime_pairs(bound)
+        if (q * q + q + 1) % (p * p) == 0
+    ]
     return _report("no_square_pair", bound, witnesses, [])
 
 
 def oracle_pqr(bound: int) -> OracleReport:
     """Primes p, q <= bound and any prime r with pr | q^2+q+1,
-    q | p^2+p+1, p | r+1 and r = 1 (mod 4); no solutions exist."""
-    primes = set(_primes_up_to(bound))
+    q | p^2+p+1, p | r+1 and r = 1 (mod 4); no solutions exist.
+
+    q does not divide q^2+q+1, so p != q, and p, q are a sigma_{2,2}
+    prime pair in one order or the other: each pair is read both ways,
+    and r is found by trial division of q^2+q+1."""
     witnesses = []
-    for q, factors in _quadratic_factors(1, bound):
-        if q not in primes:
-            continue
-        m = q * q + q + 1
-        for p in set(factors):
-            if p > bound or (p * p + p + 1) % q:
-                continue
-            for r in set(factors):
-                if r % 4 == 1 and (r + 1) % p == 0 and m % (p * r) == 0:
-                    witnesses.append((p, q, r))
+    for pair in _sigma22_prime_pairs(bound):
+        for p, q in (pair, pair[::-1]):
+            m = q * q + q + 1
+            witnesses.extend(
+                (p, q, r) for r in _prime_divisors(m)
+                if r % 4 == 1 and (r + 1) % p == 0 and m % (p * r) == 0
+            )
     return _report("pqr", bound, witnesses, [])
-
-
-def _sigma22_prime_pairs(bound: int) -> set[tuple[int, int]]:
-    primes = set(_primes_up_to(bound))
-    return {
-        (p, q)
-        for q, factors in _quadratic_factors(1, bound) if q in primes
-        for p in set(factors) if p < q and (p * p + p + 1) % q == 0
-    }
 
 
 def oracle_linked(bound: int) -> OracleReport:
@@ -290,7 +355,7 @@ def oracle_s_classification(bound: int) -> OracleReport:
     the bound, and with them their multiples, are never formed."""
     witnesses = [
         (x, y)
-        for x, factors in _quadratic_factors(0, bound)
+        for x, factors in _quadratic_factors(bound)
         for y in _divisors(factors, bound)
         if x <= y and (y * y + 1) % x == 0
     ]

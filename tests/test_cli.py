@@ -14,7 +14,7 @@ import pytest
 
 import sigmapairs
 from conftest import UNUSABLE_CHECKPOINTS, json_doc, results_only
-from sigmapairs import arith, cli, search
+from sigmapairs import arith, cli, oracles, search
 
 
 class TestChainCommand:
@@ -288,6 +288,39 @@ class TestLemmasCommand:
     def test_zero_bound_too_small_for_gcd_is_precondition_error(self, run_cli):
         code, _ = run_cli("lemmas", "--only", "gcd", "--bound", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("--only", "gcd", "--bound", "10001"),
+        ("--only", "linked", "--bound", "10000001"),
+        ("--only", "s_classification", "--bound", "10000001"),
+        ("--bound", "100000"),
+    ])
+    def test_bound_past_its_limit_is_refused_before_any_work(
+            self, argv, run_cli, monkeypatch):
+        # every oracle that sieves primes or walks the chain would raise
+        def fail(bound):
+            raise AssertionError(f"oracle work started at {bound}")
+
+        monkeypatch.setattr(oracles, "_chain", fail)
+        monkeypatch.setattr(oracles, "_primes_up_to", fail)
+        monkeypatch.setattr(oracles, "_quadratic_factors", fail)
+        assert run_cli("lemmas", *argv) == (2, "")
+
+    @pytest.mark.parametrize("argv", [
+        ("--only", "gcd", "--bound", "10000"),
+        ("--only", "pqr", "--bound", "10000000"),
+    ])
+    def test_bound_at_its_limit_is_run(self, argv, run_cli, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def started(bound):
+            raise Started
+
+        monkeypatch.setattr(oracles, "_chain", started)
+        monkeypatch.setattr(oracles, "_primes_up_to", started)
+        with pytest.raises(Started):
+            run_cli("lemmas", *argv)
 
     def test_all_lemmas_runs_and_reports(self, run_cli):
         code, out = run_cli("lemmas", "--bound", "50", "--json")

@@ -1,14 +1,22 @@
+import contextlib
+import hashlib
+import io
+import re
+import shlex
 from itertools import groupby
 from math import prod
 
 import pytest
 
+from sigmapairs import oracles
 from sigmapairs.arith import is_prime
+from sigmapairs.cli import main as cli_main
 from sigmapairs.oracles import (
     ORACLES,
     OracleReport,
     _primes_up_to,
     _quadratic_factors,
+    _sigma2_roots,
     _sigma22_prime_pairs,
     oracle_gcd,
     oracle_linked,
@@ -54,6 +62,14 @@ class TestPqr:
         report = oracle_pqr(bound)
         assert report.witnesses == ()
         assert report.agrees
+
+    @pytest.mark.parametrize("pair", [(7, 9), (9, 7)])
+    def test_reads_each_pair_both_ways(self, pair, monkeypatch):
+        # 7 * 13 = 9^2 + 9 + 1, 13 = 1 (mod 4) and 7 | 13 + 1, so the
+        # triple (7, 9, 13) appears however the pair is stored; 9 is no
+        # prime, so no real pair can stand in for this one
+        monkeypatch.setattr(oracles, "_sigma22_prime_pairs", lambda bound: {pair})
+        assert oracle_pqr(100).witnesses == ((7, 9, 13),)
 
 
 class TestLinked:
@@ -223,7 +239,8 @@ class TestOracleTable:
         assert report.lemma_id == "p1q1"
 
 
-# The double loops the sieved oracles replaced, kept as references.
+# The double loops the sieved and root-based oracles replaced, kept as
+# references.
 
 def _reference_no_square_pair(bound):
     primes = _primes_up_to(bound)
@@ -324,16 +341,25 @@ _CHECKED_BOUNDS = [*range(-1, 501), 1000, 3001, 10**4]
 
 
 class TestQuadraticFactors:
-    @pytest.mark.parametrize("b", [0, 1])
-    def test_factors_every_value_into_adjacent_primes(self, b):
+    def test_factors_every_value_into_adjacent_primes(self):
         seen = []
-        for x, factors in _quadratic_factors(b, 4000):
+        for x, factors in _quadratic_factors(4000):
             seen.append(x)
-            assert prod(factors) == x * x + b * x + 1, x
+            assert prod(factors) == x * x + 1, x
             assert all(is_prime(p).is_probable_prime for p in factors), (x, factors)
             runs = [p for p, _ in groupby(factors)]
             assert len(runs) == len(set(runs)), (x, factors)
         assert seen == list(range(1, 4001))
+
+
+class TestSigma2Roots:
+    def test_every_root_below_3000(self):
+        primes = _primes_up_to(2999)
+        assert primes[:2] == [2, 3]
+        for q in primes:
+            roots = {p for p in range(1, q) if (p * p + p + 1) % q == 0}
+            assert set(_sigma2_roots(q)) == roots, q
+            assert len(_sigma2_roots(q)) == len(roots), q
 
 
 class TestSievedOraclesMatchTheDoubleLoops:
@@ -371,3 +397,35 @@ class TestCappedLoopsMatchTheDoubleLoops:
             report = oracle(bound)
             assert report.witnesses == tuple(sorted(set(reference(bound)))), bound
             assert report.bound == bound
+
+
+# ``lemmas`` in both formats: the default run, and each oracle alone at
+# small, boundary and default-sized bounds (gcd reads its bound as a
+# number of chain terms, so it stops at 1000).
+_LEMMA_BOUNDS = (-1, 0, 1, 2, 3, 4, 13, 61, 100, 1000, 3001, 10**4)
+_LEMMAS_RUNS = [
+    ("lemmas",),
+    ("lemmas", "--json"),
+    *(
+        ("lemmas", "--only", lemma_id, "--bound", str(bound), *fmt)
+        for lemma_id in sorted(ORACLES)
+        for bound in _LEMMA_BOUNDS
+        if lemma_id != "gcd" or bound <= 1000
+        for fmt in ((), ("--json",))
+    ),
+]
+
+LEMMAS_DIGEST = "a2d0bb063ca4f43460af4954fd940690063a7a68c33d12a6ef87407d65315d40"
+
+
+def test_lemmas_outputs_match_their_digest():
+    # exit code, stdout with elapsed_ms masked, and stderr of each run
+    digest = hashlib.sha256()
+    for argv in _LEMMAS_RUNS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(list(argv))
+        stdout = re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": 0', out.getvalue())
+        digest.update(f"{shlex.join(argv)}\n{code}\n{stdout}\0{err.getvalue()}\0".encode())
+    assert len(_LEMMAS_RUNS) == 238
+    assert digest.hexdigest() == LEMMAS_DIGEST
