@@ -18,10 +18,10 @@ The oracles that turn on divisors of x^2+x+1 (``no_square_pair``,
 with q | p^2+p+1 and p | q^2+q+1, from :func:`_sigma22_prime_pairs`.
 For each prime q up to the bound it tries as p only the roots of
 x^2+x+1 mod q, which are exactly the p < q with q | p^2+p+1, so no
-pair is missed.  ``s_classification`` reads the factors of x^2+1 from
-a streaming root sieve, :func:`_quadratic_factors`, which factors every
-x^2+1 up to the bound completely.  :func:`check_bound` refuses a bound
-above 10^7, or above 10^4 chain terms for ``gcd``.
+pair is missed.  ``s_classification`` tries as x, for each y up to the
+bound, only the roots of x^2+1 mod y, from :func:`_minus_one_roots`.
+:func:`check_bound` refuses a bound above 10^7, or above 10^4 chain
+terms for ``gcd``.
 
 Known honest failure: :func:`oracle_gcd` checks the claim that
 gcd(p^2+p+1, q^2+q+1) divides 3 along the chain.  That claim is false:
@@ -127,54 +127,6 @@ def oracle_p_div_q1(bound: int) -> OracleReport:
     return _report("p_div_q1", bound, witnesses, expected)
 
 
-def _quadratic_factors(bound: int) -> Iterator[tuple[int, list[int]]]:
-    """Yield (x, factors) for x = 1 .. bound, where factors lists the
-    prime factors of x^2 + 1 with multiplicity, each prime's copies next
-    to each other.
-
-    A streaming root sieve: ``hits`` maps an index to the primes with a
-    root there, and is all the state kept.  The primes popped at x are
-    every prime p <= x dividing x^2 + 1, each found at the least root of
-    its class mod p and rescheduled p steps on.  What is left once they
-    are divided out is 1 or a single prime above x, since two factors
-    above x exceed x^2 + 1.  Every prime found at x is scheduled at
-    x + p, unless that is past ``bound``.
-    """
-    hits: dict[int, list[int]] = {}
-    for x in range(1, bound + 1):
-        value = x * x + 1
-        factors = []
-        primes = hits.pop(x, [])
-        for p in primes:
-            while value % p == 0:
-                value //= p
-                factors.append(p)
-        if value > 1:
-            factors.append(value)
-            primes.append(value)
-        for p in primes:
-            if x + p <= bound:
-                hits.setdefault(x + p, []).append(p)
-        yield x, factors
-
-
-def _divisors(factors: list[int], bound: int) -> list[int]:
-    """The divisors up to ``bound`` of the product of a factor list whose
-    equal primes are adjacent."""
-    divisors = [1]
-    run: list[int] = []
-    previous = 0
-    for p in factors:
-        # a repeated prime raises only the divisors its last copy made;
-        # a divisor above the bound has only multiples above it, so a
-        # factor above the bound adds none
-        base = run if p == previous else divisors
-        run = [d for e in base if (d := e * p) <= bound]
-        divisors += run
-        previous = p
-    return divisors
-
-
 def _sigma2_roots(q: int) -> tuple[int, ...]:
     """The x in [1, q) with q | x^2+x+1, for a prime q.
 
@@ -246,16 +198,17 @@ def oracle_pqr(bound: int) -> OracleReport:
     q | p^2+p+1, p | r+1 and r = 1 (mod 4); no solutions exist.
 
     q does not divide q^2+q+1, so p != q, and p, q are a sigma_{2,2}
-    prime pair in one order or the other: each pair is read both ways,
-    and r is found by trial division of q^2+q+1."""
+    prime pair in one order or the other.  Only the stored order p < q
+    can give a witness: if p > q, p is odd, r = 1 (mod 4) is odd, so
+    r = kp - 1 with k even, r >= 2p - 1 and pr >= (q+1)(2q+1) >
+    q^2+q+1.  r is found by trial division of q^2+q+1."""
     witnesses = []
-    for pair in _sigma22_prime_pairs(bound):
-        for p, q in (pair, pair[::-1]):
-            m = q * q + q + 1
-            witnesses.extend(
-                (p, q, r) for r in _prime_divisors(m)
-                if r % 4 == 1 and (r + 1) % p == 0 and m % (p * r) == 0
-            )
+    for p, q in _sigma22_prime_pairs(bound):
+        m = q * q + q + 1
+        witnesses.extend(
+            (p, q, r) for r in _prime_divisors(m)
+            if r % 4 == 1 and (r + 1) % p == 0 and m % (p * r) == 0
+        )
     return _report("pqr", bound, witnesses, [])
 
 
@@ -347,17 +300,64 @@ def oracle_p1q1(bound: int) -> OracleReport:
     return _report("p1q1", bound, witnesses, expected)
 
 
+def _minus_one_roots(bound: int) -> Iterator[tuple[int, list[int]]]:
+    """Yield (y, roots) for each y in [2, bound] where x^2+1 has a root
+    mod y, with roots all the roots in [0, y).
+
+    Proof.  Mod 2 the one root is 1, and mod 4 there is none, as squares
+    are 0 or 1 mod 4.  For odd p a root has order 4 mod p, so 4 | p - 1.
+    For p = 1 (mod 4), s = g^((p-1)/4) has s^2 = g^((p-1)/2) = -1 for
+    the first quadratic non-residue g (Euler's criterion).  Hensel's
+    lemma lifts a root s mod q = p^e: with c = (2s)^-1 mod p,
+    s' = s - (s^2+1)c has s' = s (mod q) and s'^2+1 = (s^2+1)(1 - 2sc)
+    + (s^2+1)^2 c^2 = 0 (mod pq).  A root x has q | (x - s)(x + s), and
+    p does not divide 2s, so x = s or q - s (mod q).  By the Chinese
+    remainder theorem the roots mod y are the x that reduce to a root
+    mod each prime power of y: roots r mod y and t mod q join as
+    r + (t - r)u mod yq, with u = 0 (mod y) and u = 1 (mod q).  The
+    walk builds each y once, from its prime powers in increasing order.
+    """
+    primes = [p for p in _primes_up_to(bound) if p % 4 == 1]
+    lifts = []
+    for p in primes:
+        g = 2
+        while (s := pow(g, (p - 1) // 4, p)) * s % p != p - 1:
+            g += 1
+        lifts.append(s)
+
+    def walk(y: int, roots: list[int], start: int) -> Iterator[tuple[int, list[int]]]:
+        for i in range(start, len(primes)):
+            p, s = primes[i], lifts[i]
+            if y * p > bound:
+                return
+            c, q = pow(2 * s, -1, p), p
+            while y * q <= bound:
+                u = y * pow(y, -1, q)
+                joined = [(r + (t - r) * u) % (y * q) for r in roots for t in (s, q - s)]
+                yield y * q, joined
+                yield from walk(y * q, joined, i + 1)
+                q *= p
+                s = (s - (s * s + 1) * c) % q
+
+    if bound >= 2:
+        yield 2, [1]
+        yield from walk(2, [1], 0)
+    yield from walk(1, [0], 0)
+
+
 def oracle_s_classification(bound: int) -> OracleReport:
     """Pairs x <= y <= bound with x | y^2+1 and y | x^2+1 are exactly
     the consecutive pairs of the s sequence (odd-index Fibonaccis).
 
-    y is a divisor of x^2+1 no larger than the bound, so divisors above
-    the bound, and with them their multiples, are never formed."""
-    witnesses = [
+    x = y gives y | 1, so (1, 1) is the one pair with x = y.  Any other
+    pair has x < y, and y | x^2+1 says x is a root of x^2+1 mod y, so
+    the pairs are (1, 1) and the roots x mod y with x | y^2+1."""
+    witnesses = [(1, 1)] if bound >= 1 else []
+    witnesses += [
         (x, y)
-        for x, factors in _quadratic_factors(bound)
-        for y in _divisors(factors, bound)
-        if x <= y and (y * y + 1) % x == 0
+        for y, roots in _minus_one_roots(bound)
+        for x in roots
+        if (y * y + 1) % x == 0
     ]
     s_terms = generate_s(60)
     expected = [

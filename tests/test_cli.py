@@ -303,7 +303,6 @@ class TestLemmasCommand:
 
         monkeypatch.setattr(oracles, "_chain", fail)
         monkeypatch.setattr(oracles, "_primes_up_to", fail)
-        monkeypatch.setattr(oracles, "_quadratic_factors", fail)
         assert run_cli("lemmas", *argv) == (2, "")
 
     @pytest.mark.parametrize("argv", [

@@ -4,18 +4,16 @@ import io
 import re
 import shlex
 from itertools import groupby
-from math import prod
 
 import pytest
 
 from sigmapairs import oracles
-from sigmapairs.arith import is_prime
 from sigmapairs.cli import main as cli_main
 from sigmapairs.oracles import (
     ORACLES,
     OracleReport,
+    _minus_one_roots,
     _primes_up_to,
-    _quadratic_factors,
     _sigma2_roots,
     _sigma22_prime_pairs,
     oracle_gcd,
@@ -63,13 +61,21 @@ class TestPqr:
         assert report.witnesses == ()
         assert report.agrees
 
-    @pytest.mark.parametrize("pair", [(7, 9), (9, 7)])
+    @pytest.mark.parametrize("pair", [(7, 9)])
     def test_reads_each_pair_both_ways(self, pair, monkeypatch):
         # 7 * 13 = 9^2 + 9 + 1, 13 = 1 (mod 4) and 7 | 13 + 1, so the
-        # triple (7, 9, 13) appears however the pair is stored; 9 is no
-        # prime, so no real pair can stand in for this one
+        # triple (7, 9, 13) appears when the pair is read as stored; 9 is
+        # no prime, so no real pair can stand in for this one
         monkeypatch.setattr(oracles, "_sigma22_prime_pairs", lambda bound: {pair})
         assert oracle_pqr(100).witnesses == ((7, 9, 13),)
+
+    def test_the_swapped_order_leaves_no_room_for_r(self):
+        # read swapped, as (q, p) with q > p, r = 1 (mod 4) and q | r+1
+        # give r >= 2q - 1, so q r exceeds p^2+p+1 and cannot divide it
+        pairs = _reference_sigma22_prime_pairs(3000)
+        assert (3, 13) in pairs
+        for p, q in pairs:
+            assert q % 2 == 1 and q * (2 * q - 1) > p * p + p + 1, (p, q)
 
 
 class TestLinked:
@@ -340,16 +346,62 @@ def _reference_u_classification(bound):
 _CHECKED_BOUNDS = [*range(-1, 501), 1000, 3001, 10**4]
 
 
-class TestQuadraticFactors:
-    def test_factors_every_value_into_adjacent_primes(self):
-        seen = []
-        for x, factors in _quadratic_factors(4000):
-            seen.append(x)
-            assert prod(factors) == x * x + 1, x
-            assert all(is_prime(p).is_probable_prime for p in factors), (x, factors)
-            runs = [p for p, _ in groupby(factors)]
-            assert len(runs) == len(set(runs)), (x, factors)
-        assert seen == list(range(1, 4001))
+def _reference_sieved_s_classification(bound):
+    # the streaming root sieve the root walk replaced: hits maps an
+    # index to the primes with a root there; what is left of x^2+1 once
+    # they are divided out is 1 or one prime above x, and every prime
+    # found at x is scheduled at x + p
+    witnesses = []
+    hits = {}
+    for x in range(1, bound + 1):
+        value = x * x + 1
+        factors = []
+        primes = hits.pop(x, [])
+        for p in primes:
+            while value % p == 0:
+                value //= p
+                factors.append(p)
+        if value > 1:
+            factors.append(value)
+            primes.append(value)
+        for p in primes:
+            if x + p <= bound:
+                hits.setdefault(x + p, []).append(p)
+        divisors = [1]
+        for p, run in groupby(factors):
+            powers = [p**e for e in range(len(list(run)) + 1)]
+            divisors = [d * power for d in divisors for power in powers]
+        witnesses.extend(
+            (x, y) for y in divisors if x <= y <= bound and (y * y + 1) % x == 0
+        )
+    return witnesses
+
+
+def _brute_force_minus_one_roots(y):
+    return [x for x in range(y) if (x * x + 1) % y == 0]
+
+
+class TestMinusOneRoots:
+    def test_every_prime_power_below_10000(self):
+        # 2 has the one root 1, 4 and p = 3 (mod 4) none, and a power of
+        # p = 1 (mod 4) two: the lifts of the roots mod p
+        found = dict(_minus_one_roots(9999))
+        for p in _primes_up_to(9999):
+            q = p
+            while q < 10**4:
+                roots = found.get(q, [])
+                assert sorted(roots) == _brute_force_minus_one_roots(q), q
+                assert len(roots) == (1 if q == 2 else 2 if p % 4 == 1 else 0), q
+                q *= p
+
+    def test_every_modulus_below_3000(self):
+        walked = list(_minus_one_roots(2999))
+        found = dict(walked)
+        assert len(found) == len(walked)
+        for y in range(1, 3000):
+            roots = _brute_force_minus_one_roots(y) if y >= 2 else []
+            assert sorted(found.pop(y, [])) == roots, y
+        assert found == {}
 
 
 class TestSigma2Roots:
@@ -381,6 +433,11 @@ class TestSievedOraclesMatchTheDoubleLoops:
     def test_sigma22_prime_pairs(self):
         for bound in _CHECKED_BOUNDS:
             assert _sigma22_prime_pairs(bound) == _reference_sigma22_prime_pairs(bound), bound
+
+    def test_s_classification_matches_the_retired_sieve(self):
+        report = oracle_s_classification(10**5)
+        assert report.witnesses == tuple(sorted(set(_reference_sieved_s_classification(10**5))))
+        assert report.agrees and report.witnesses[-1] == (28657, 75025)
 
 
 class TestCappedLoopsMatchTheDoubleLoops:
