@@ -6,7 +6,6 @@ from .arith import (
     DEFAULT_ROUNDS,
     Primality,
     PrimalityVerdict,
-    bounded_square_part,
     is_prime,
     sigma_power,
 )

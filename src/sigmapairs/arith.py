@@ -40,7 +40,6 @@ __all__ = [
     "TRIAL_DIVISION_BOUND",
     "Primality",
     "PrimalityVerdict",
-    "bounded_square_part",
     "decimal_digits",
     "is_prime",
     "sigma_power",
@@ -257,22 +256,6 @@ def is_prime(x: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
         if not _strong_probable_prime(x, base, d, r):
             return PrimalityVerdict(Primality.COMPOSITE, rounds=i + 1, witness=base)
     return PrimalityVerdict(Primality.PROBABLE_PRIME, rounds=rounds)
-
-
-def bounded_square_part(x: int, trial_bound: int) -> int:
-    """Largest square s*s dividing x whose root s has all prime factors
-    <= trial_bound.
-
-    This is a lower bound for the true largest square divisor of x:
-    square factors supported on primes above ``trial_bound`` are not
-    seen.  The dividing primes are found by block gcd, as in
-    :func:`is_prime`'s trial division, and only they are divided out.
-    """
-    if x < 1:
-        raise ValueError(f"expected a positive integer, got {x}")
-    if trial_bound < 2:
-        raise ValueError(f"trial bound must be >= 2, got {trial_bound}")
-    return _square_part(_BlockTrialDivisor(small_primes(trial_bound)).exponents(x))
 
 
 def _square_part(*exponents: dict[int, int]) -> int:

@@ -12,9 +12,10 @@ m = 1, and ``lemmas --only p1q1`` covers the sigma_{1,1} pairs.
 Checkpoints are plain ASCII files written atomically so that
 interrupting and resuming reproduces the uninterrupted output byte for
 byte.  Each term is rendered to decimal once: a state's ``prev`` is the
-``curr`` of the state before it, so a write reuses that rendering.  A
-checkpoint is validated once, when it is loaded; :func:`search_pairs`
-validates only one that :func:`load_checkpoint` did not return.
+``curr`` of the state before it, so a write reuses that rendering.
+:func:`load_checkpoint` and :func:`search_pairs` make the same checks of
+a checkpoint, so a resume checks one whether it was read from a file or
+built in code.
 
 Each pair (t_n, t_{n+1}) goes through four stages, cheapest first, and
 only a pair that passes one stage reaches the next:
@@ -81,7 +82,6 @@ import math
 import os
 import signal
 import threading
-import weakref
 from dataclasses import dataclass
 
 from .arith import (
@@ -156,13 +156,6 @@ class SearchCheckpoint:
 # (2 vCPUs, CPython 3.11.7) and grows quadratically with the digits.
 _decimal = functools.lru_cache(maxsize=2)(str)
 
-# The checkpoints load_checkpoint returned and validated, by identity;
-# search_pairs validates any other.  SearchCheckpoint and PairRecord are
-# frozen, so a checkpoint cannot change after it was validated.
-_validated: weakref.WeakValueDictionary[int, SearchCheckpoint] = (
-    weakref.WeakValueDictionary()
-)
-
 
 def write_checkpoint(path: str, checkpoint: SearchCheckpoint) -> None:
     """Serialize atomically (temp file then rename)."""
@@ -227,9 +220,7 @@ def load_checkpoint(path: str, rounds: int = DEFAULT_ROUNDS) -> SearchCheckpoint
         for index, p, q in pairs
     )
     _check_verdicts(found)
-    checkpoint = SearchCheckpoint(m=m, n=n, prev=prev, curr=curr, found=found)
-    _validated[id(checkpoint)] = checkpoint
-    return checkpoint
+    return SearchCheckpoint(m=m, n=n, prev=prev, curr=curr, found=found)
 
 
 def _validate_checkpoint(m: int, n: int, prev: int, curr: int, pairs: list) -> None:
@@ -520,8 +511,8 @@ def search_pairs(
     are written every ``checkpoint_every`` steps when ``checkpoint_path``
     is set, and at the end unless that step already wrote one.  A write
     waits until every pair before its state is confirmed, while the walk
-    goes on.  A ``checkpoint`` that :func:`load_checkpoint` did not
-    return gets the checks that function makes.
+    goes on.  A ``checkpoint`` gets the checks :func:`load_checkpoint`
+    makes, on the verdicts its records carry, wherever it came from.
     """
     if m < 2:
         # every m = 1 chain has period 5, so no digits limit is reached
@@ -550,9 +541,8 @@ def search_pairs(
             )
         n, prev, curr = checkpoint.n, checkpoint.prev, checkpoint.curr
         found = list(checkpoint.found)
-        if _validated.get(id(checkpoint)) is not checkpoint:
-            _validate_checkpoint(m, n, prev, curr, [(r.index, r.p, r.q) for r in found])
-            _check_verdicts(checkpoint.found)
+        _validate_checkpoint(m, n, prev, curr, [(r.index, r.p, r.q) for r in found])
+        _check_verdicts(checkpoint.found)
     else:
         a, b = seed
         if not is_quasisolution(a, b, m):

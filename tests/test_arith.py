@@ -9,7 +9,6 @@ from sigmapairs.arith import (
     DETERMINISTIC_LIMIT,
     Primality,
     PrimalityVerdict,
-    bounded_square_part,
     decimal_digits,
     is_prime,
     sigma_power,
@@ -37,8 +36,6 @@ class TestSmallPrimes:
         assert limits == [10**7]
         with pytest.raises(ValueError, match="10000000"):
             small_primes(10**7 + 1)
-        with pytest.raises(ValueError, match="10000000"):
-            bounded_square_part(12, 10**7 + 1)
         assert limits == [10**7]
 
 
@@ -295,6 +292,12 @@ class TestIsPrime:
         assert int(str(x)) == x
 
 
+def bounded_square_part(x, bound):
+    """The largest square dividing x whose root has no prime factor above
+    bound, found as square_divisor_probe finds it."""
+    return arith._square_part(arith._BlockTrialDivisor(small_primes(bound)).exponents(x))
+
+
 class TestBoundedSquarePart:
     @pytest.mark.parametrize(
         "x, bound, expected",
@@ -337,9 +340,3 @@ class TestBoundedSquarePart:
         ))
         x = math.prod(p**e for p, e in powers) * data.draw(st.integers(10**30, 10**60))
         assert bounded_square_part(x, bound) == reference_square_part(x, primes)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            bounded_square_part(0, 100)
-        with pytest.raises(ValueError):
-            bounded_square_part(10, 1)

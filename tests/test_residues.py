@@ -162,3 +162,41 @@ class TestResiduePattern:
     def test_start_terms_trivially_one(self):
         terms = chain_terms(2, 2)
         assert all(t % 4 == 1 and t % 3 == 1 for t in terms)
+
+
+@pytest.fixture(scope="module")
+def terms_to_2002():
+    # terms[n] = t_n; terms[0] is a placeholder
+    return [0, *chain_terms(2, 2002)]
+
+
+class TestSigma22ChainFacts:
+    # Every sigma_{2,2} prime pair p < q is (t_n, t_{n+1}) for some
+    # n >= 3, and q^2 + q + 1 = t_n t_{n+2}.  no_square_pair rests on the
+    # first two facts below, pqr on the last two.
+
+    def test_mod_31_has_period_16_and_no_zero(self):
+        # a prime common to t_n and t_{n+2} divides 31, and no term does
+        profile = residue_profile(31)
+        assert profile.period == 16
+        assert 0 not in profile.cycle
+
+    def test_terms_two_apart_are_coprime(self, terms_to_2002):
+        t = terms_to_2002
+        for n in range(1, 2001):
+            assert math.gcd(t[n], t[n + 2]) == 1, n
+
+    def test_two_steps_later_is_at_most_23_times_one_less(self, terms_to_2002):
+        t = terms_to_2002
+        for n in range(5, 2001):
+            assert t[n + 2] // (t[n] - 1) <= 23, n
+
+    def test_no_small_cofactor_leaves_a_divisor_one_below_a_multiple(
+        self, terms_to_2002
+    ):
+        # t_{n+2} = c r with r = -1 (mod t_n) forces c <= 23 for n >= 5
+        t = terms_to_2002
+        for n in range(5, 2001):
+            for c in range(1, 24):
+                if t[n + 2] % c == 0:
+                    assert (t[n + 2] // c + 1) % t[n], (n, c)
