@@ -91,7 +91,7 @@ def _cmd_search(args):
         raise ValueError(f"seed must be 'p,q', got {args.seed!r}")
     checkpoint = None
     if args.checkpoint and os.path.isfile(args.checkpoint):
-        checkpoint = search.load_checkpoint(args.checkpoint, rounds=args.mr_rounds)
+        checkpoint = search.load_checkpoint(args.checkpoint)
     records = search.search_pairs(
         args.m,
         seed=seed,

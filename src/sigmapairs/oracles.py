@@ -112,7 +112,17 @@ def _primes_up_to(bound: int) -> list[int]:
 
 def oracle_p_div_q1(bound: int) -> OracleReport:
     """Odd positive p, q <= bound with q | p^2+p+1 and p | q+1; the
-    complete solution set is {(1,1), (1,3)}."""
+    complete solution set is {(1,1), (1,3)}.
+
+    Proof for every bound.  Write q = kp - 1; p and q odd make k even.
+    kp = 1 (mod q), so k^2 (p^2+p+1) = 1 + k + k^2 (mod q), and q divides
+    k^2+k+1: kp - 1 <= k^2+k+1 gives p <= k + 1 + 2/k.  q <= p^2+p+1
+    gives k <= p + 1 + 2/p.  So p - k, which is odd, lies in [-3, 2] and
+    is -3, -1 or 1.  p = k + 1 makes q = k^2+k-1 >= 5 divide
+    (k^2+k+1) - q = 2, which is impossible.  p = k - 1 makes
+    q = k^2-k-1 divide (k^2+k+1) - q = 2k + 2, so k <= 3.  p = k - 3
+    needs k - p = 3 <= 1 + 2/p, so p = 1.  That leaves p = 1 with k = 2
+    or 4, which give (1, 1) and (1, 3)."""
     witnesses = []
     for p in range(1, bound + 1, 2):
         value = p * p + p + 1
@@ -185,7 +195,9 @@ def oracle_no_square_pair(bound: int) -> OracleReport:
     solutions exist.
 
     p^2 <= q^2+q+1 < (q+1)^2 gives p <= q, and q does not divide
-    q^2+q+1, so p < q and (p, q) is a sigma_{2,2} prime pair."""
+    q^2+q+1, so p < q and (p, q) is a sigma_{2,2} prime pair.  The
+    :mod:`sigmapairs.residues` docstring proves that no such pair has
+    p^2 | q^2+q+1, at every bound."""
     witnesses = [
         (p, q) for p, q in _sigma22_prime_pairs(bound)
         if (q * q + q + 1) % (p * p) == 0
@@ -201,7 +213,9 @@ def oracle_pqr(bound: int) -> OracleReport:
     prime pair in one order or the other.  Only the stored order p < q
     can give a witness: if p > q, p is odd, r = 1 (mod 4) is odd, so
     r = kp - 1 with k even, r >= 2p - 1 and pr >= (q+1)(2q+1) >
-    q^2+q+1.  r is found by trial division of q^2+q+1."""
+    q^2+q+1.  r is found by trial division of q^2+q+1.  The
+    :mod:`sigmapairs.residues` docstring proves that no divisor r >= 2
+    of (q^2+q+1)/p has p | r+1 for a pair p < q, at every bound."""
     witnesses = []
     for p, q in _sigma22_prime_pairs(bound):
         m = q * q + q + 1
@@ -214,7 +228,8 @@ def oracle_pqr(bound: int) -> OracleReport:
 
 def oracle_linked(bound: int) -> OracleReport:
     """Triples of distinct odd primes where (p, q) and (q, r) are both
-    sigma_{2,2} pairs; only {3, 13, 61} qualifies."""
+    sigma_{2,2} pairs; only {3, 13, 61} qualifies, at every bound, by
+    the proof in the :mod:`sigmapairs.residues` docstring."""
     pairs = _sigma22_prime_pairs(bound)
     witnesses = []
     for p, q in pairs:
@@ -377,7 +392,16 @@ def oracle_u_classification(bound: int) -> OracleReport:
     direction).
 
     b | a^2+1 with a^2+1 > 0 forces b <= a^2+1, so no b above it is
-    tried."""
+    tried.
+
+    Proof that ``_U_SOLUTIONS`` are all, at every bound.  Write
+    b + 1 = ka.  ka = 1 (mod b), so k^2 (a^2+1) = 1 + k^2 (mod b), and b
+    divides k^2+1: ka - 1 <= k^2+1 gives a <= k + 2/k.  b <= a^2+1 gives
+    k <= a + 2/a.  So a - k lies in [-2, 2].  a = k is impossible: then
+    b = a^2-1, at least 3 as b >= 1 needs a >= 2, divides
+    (a^2+1) - b = 2.  Otherwise |a - k| min(a, k) <= 2, so a, k <= 3,
+    and of those (a, k) exactly the six of ``_U_SOLUTIONS`` give
+    b >= 1 with b | a^2+1."""
     witnesses = []
     for a in range(1, bound + 1):
         value = a * a + 1

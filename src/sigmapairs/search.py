@@ -12,10 +12,11 @@ m = 1, and ``lemmas --only p1q1`` covers the sigma_{1,1} pairs.
 Checkpoints are plain ASCII files written atomically so that
 interrupting and resuming reproduces the uninterrupted output byte for
 byte.  Each term is rendered to decimal once: a state's ``prev`` is the
-``curr`` of the state before it, so a write reuses that rendering.
-:func:`load_checkpoint` and :func:`search_pairs` make the same checks of
-a checkpoint, so a resume checks one whether it was read from a file or
-built in code.
+``curr`` of the state before it, so a write reuses that rendering.  A
+:class:`SearchCheckpoint` holds what its file holds, positions and no
+verdicts.  :func:`load_checkpoint` runs no primality test, and
+:func:`search_pairs` tests each recorded pair when it resumes, whether
+the checkpoint was read from a file or built in code.
 
 Each pair (t_n, t_{n+1}) goes through four stages, cheapest first, and
 only a pair that passes one stage reaches the next:
@@ -49,7 +50,8 @@ only a pair that passes one stage reaches the next:
     is kept.
 (d) Confirmation: the full ``is_prime(x, rounds)``, first on t_n and
     then, if t_n is a probable prime, on t_{n+1}.  The verdicts in a
-    :class:`PairRecord` come from this call.
+    :class:`PairRecord` come from this call, or, for a pair a checkpoint
+    recorded, from the same test when the search resumes.
 
 The walk, (a) and (b) run in the searching process.  So do (c) and (d)
 for a pair whose t_n has fewer than ``_POOL_MIN_DIGITS`` (500) digits.
@@ -141,13 +143,14 @@ class PairRecord:
 @dataclass(frozen=True)
 class SearchCheckpoint:
     """Walk position: ``curr`` is the term at index ``n``, ``prev`` the
-    one before, and ``found`` the pairs emitted so far."""
+    one before, and ``found`` the pairs emitted so far as (index, p, q),
+    one per ``pair`` line of the file.  It holds no verdicts."""
 
     m: int
     n: int
     prev: int
     curr: int
-    found: tuple[PairRecord, ...]
+    found: tuple[tuple[int, int, int], ...]
 
 
 # The decimal form of the last two chain terms written.  Consecutive
@@ -166,20 +169,17 @@ def write_checkpoint(path: str, checkpoint: SearchCheckpoint) -> None:
         f"prev={_decimal(checkpoint.prev)}",
         f"curr={_decimal(checkpoint.curr)}",
     ]
-    for record in checkpoint.found:
-        lines.append(f"pair {record.index} {record.p} {record.q}")
+    for index, p, q in checkpoint.found:
+        lines.append(f"pair {index} {p} {q}")
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="ascii") as handle:
         handle.write("\n".join(lines) + "\n")
     os.replace(tmp, path)
 
 
-def load_checkpoint(path: str, rounds: int = DEFAULT_ROUNDS) -> SearchCheckpoint:
-    """Parse and validate a checkpoint file.
-
-    Verdicts are not stored on disk; they are recomputed here, which is
-    exact because the test is deterministic in (value, rounds).
-    """
+def load_checkpoint(path: str) -> SearchCheckpoint:
+    """Parse and validate a checkpoint file, with no primality test:
+    :func:`search_pairs` tests the recorded pairs when it resumes."""
     try:
         with open(path, encoding="ascii") as handle:
             lines = handle.read().splitlines()
@@ -213,19 +213,17 @@ def load_checkpoint(path: str, rounds: int = DEFAULT_ROUNDS) -> SearchCheckpoint
         except ValueError as exc:
             raise CheckpointFormatError(f"bad integer on line {line_no}") from exc
 
-    _validate_checkpoint(m, n, prev, curr, pairs)  # before any primality test
-    found = tuple(
-        PairRecord(m, index, p, q, is_prime(p, rounds), is_prime(q, rounds),
-                   decimal_digits(q))
-        for index, p, q in pairs
+    checkpoint = SearchCheckpoint(m=m, n=n, prev=prev, curr=curr, found=tuple(pairs))
+    _validate_checkpoint(checkpoint)
+    return checkpoint
+
+
+def _validate_checkpoint(checkpoint: SearchCheckpoint) -> None:
+    """The checks of a state and its recorded pairs that need no
+    primality test."""
+    m, n, prev, curr, pairs = (
+        checkpoint.m, checkpoint.n, checkpoint.prev, checkpoint.curr, checkpoint.found
     )
-    _check_verdicts(found)
-    return SearchCheckpoint(m=m, n=n, prev=prev, curr=curr, found=found)
-
-
-def _validate_checkpoint(m: int, n: int, prev: int, curr: int, pairs: list) -> None:
-    """The checks of a state and its recorded (index, p, q) pairs that
-    need no primality test."""
     if m < 1 or n < 2:
         raise CheckpointMismatch(f"invalid position m={m}, n={n}")
     if min(prev, curr, *(x for _, p, q in pairs for x in (p, q))) < 1:
@@ -244,14 +242,6 @@ def _validate_checkpoint(m: int, n: int, prev: int, curr: int, pairs: list) -> N
         last_index = index
         if not is_quasisolution(p, q, m):
             raise CheckpointMismatch(f"recorded pair at index {index} is not a quasisolution")
-
-
-def _check_verdicts(found: tuple[PairRecord, ...]) -> None:
-    for record in found:
-        if not (record.p_verdict.is_probable_prime and record.q_verdict.is_probable_prime):
-            raise CheckpointMismatch(
-                f"recorded pair at index {record.index} has a composite member"
-            )
 
 
 def _admissible(p: int, m: int) -> bool:
@@ -449,7 +439,8 @@ class _Confirmer:
             if len(head) == 3:
                 n, prev, curr = head
                 write_checkpoint(self._path, SearchCheckpoint(
-                    m=self._m, n=n, prev=prev, curr=curr, found=tuple(self.found)
+                    m=self._m, n=n, prev=prev, curr=curr,
+                    found=tuple((r.index, r.p, r.q) for r in self.found),
                 ))
             else:
                 index, p, q, job, verdicts = head
@@ -512,8 +503,19 @@ def search_pairs(
     is set, and at the end unless that step already wrote one.  A write
     waits until every pair before its state is confirmed, while the walk
     goes on.  A ``checkpoint`` gets the checks :func:`load_checkpoint`
-    makes, on the verdicts its records carry, wherever it came from.
+    makes, wherever it came from, and then each recorded pair is tested
+    with ``rounds``: a composite member raises :class:`CheckpointMismatch`.
     """
+    # a faulty checkpoint is reported before a faulty argument
+    if checkpoint is not None:
+        _validate_checkpoint(checkpoint)  # before any primality test
+        found = []
+        for index, p, q in checkpoint.found:
+            p_verdict, q_verdict = is_prime(p, rounds), is_prime(q, rounds)
+            if not (p_verdict.is_probable_prime and q_verdict.is_probable_prime):
+                raise CheckpointMismatch(f"recorded pair at index {index} has a composite member")
+            found.append(PairRecord(checkpoint.m, index, p, q, p_verdict, q_verdict,
+                                    decimal_digits(q)))
     if m < 2:
         # every m = 1 chain has period 5, so no digits limit is reached
         raise ValueError(f"search needs m >= 2, got {m}")
@@ -540,9 +542,6 @@ def search_pairs(
                 f"checkpoint is for m={checkpoint.m}, search asked for m={m}"
             )
         n, prev, curr = checkpoint.n, checkpoint.prev, checkpoint.curr
-        found = list(checkpoint.found)
-        _validate_checkpoint(m, n, prev, curr, [(r.index, r.p, r.q) for r in found])
-        _check_verdicts(checkpoint.found)
     else:
         a, b = seed
         if not is_quasisolution(a, b, m):

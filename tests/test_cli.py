@@ -211,8 +211,54 @@ class TestSearchCommand:
         )[0] == 0
         # the state and each recorded pair
         assert set(checked) == {
-            (state.prev, state.curr), *((r.p, r.q) for r in state.found)
+            (state.prev, state.curr), *((p, q) for _, p, q in state.found)
         }
+
+    def test_a_resume_tests_each_recorded_value_once(
+        self, run_cli, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "walk.ck")
+        assert run_cli(
+            "search", "--m", "2", "--digits", "20", "--checkpoint", path
+        )[0] == 0
+        found = search.load_checkpoint(path).found
+        assert len(found) == 3
+        tested = []
+        is_prime = search.is_prime
+        monkeypatch.setattr(search, "is_prime", lambda x, rounds: (
+            tested.append(x) or is_prime(x, rounds)))
+        assert run_cli(
+            "search", "--m", "2", "--digits", "20", "--checkpoint", path,
+            "--max-steps", "0",
+        )[0] == 0
+        # loading tests nothing; the resume tests both members of each pair
+        assert sorted(tested) == sorted(x for _, p, q in found for x in (p, q))
+
+    @pytest.mark.parametrize("fault, valid_code, composite_code", [
+        ((), 0, 3),
+        (("--digits", "0"), 2, 3),
+        (("--checkpoint-every", "0"), 2, 3),
+        (("--m", "1"), 2, 3),
+        (("--m", "3"), 3, 3),
+        (("--mr-rounds", "0"), 2, 2),
+        (("--max-steps", "-1"), 2, 3),
+    ], ids=["none", "digits-0", "checkpoint-every-0", "m-1", "m-3", "mr-rounds-0",
+            "max-steps-negative"])
+    def test_a_faulty_checkpoint_and_a_faulty_argument(
+        self, run_cli, tmp_path, fault, valid_code, composite_code
+    ):
+        # a recorded pair with a composite member is a checkpoint error
+        # (3) before any argument error (2), except a rounds count that
+        # cannot test it
+        state = "sigma-chain-checkpoint v1\nm=2\nn=6\nprev=61\ncurr=291\n"
+        for pair, code in (("pair 3 3 13\n", valid_code),
+                           ("pair 4 61 291\n", composite_code)):
+            path = tmp_path / "walk.ck"
+            path.write_text(state + pair, encoding="ascii")
+            assert run_cli(
+                "search", "--m", "2", "--digits", "20", "--checkpoint", str(path),
+                *fault,
+            )[0] == code
 
 
 class TestSeedsCommand:

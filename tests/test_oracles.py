@@ -45,6 +45,26 @@ class TestPDivQ1:
         assert report.witnesses == ((1, 1),)
         assert report.agrees
 
+    def test_the_reduction_against_direct_computation(self):
+        # q = kp - 1 divides p^2+p+1 exactly when it divides k^2+k+1, and
+        # with q <= p^2+p+1 that leaves p - k in {-3, -1, 1}
+        for p in range(1, 200, 2):
+            for k in range(2, 201, 2):
+                q = k * p - 1
+                divides = (k * k + k + 1) % q == 0
+                assert ((p * p + p + 1) % q == 0) == divides, (p, k)
+                if divides and q <= p * p + p + 1:
+                    assert p - k in (-3, -1, 1), (p, k)
+
+    def test_the_cases_its_proof_leaves(self):
+        # p = k + 1 is ruled out for every k; p = k - 1 and p = k - 3 leave
+        # p = 1 and k <= 4, inside this range
+        found = {
+            (p, k * p - 1) for p in range(1, 6, 2) for k in range(2, 7, 2)
+            if (p * p + p + 1) % (k * p - 1) == 0
+        }
+        assert found == {(1, 1), (1, 3)}
+
 
 class TestNoSquarePair:
     @pytest.mark.parametrize("bound", [100, 10**4])
@@ -183,6 +203,27 @@ class TestUClassification:
         report = oracle_u_classification(5)
         assert (3, 5) in report.witnesses
         assert (1, 1) in report.witnesses
+
+    def test_the_reduction_against_direct_computation(self):
+        # b = ka - 1 divides a^2+1 exactly when it divides k^2+1, and with
+        # b <= a^2+1 that leaves a - k in [-2, 2], with a = k impossible
+        for a in range(1, 201):
+            for k in range(1, 201):
+                b = k * a - 1
+                if b < 1:
+                    continue
+                divides = (k * k + 1) % b == 0
+                assert ((a * a + 1) % b == 0) == divides, (a, k)
+                if divides and b <= a * a + 1:
+                    assert a - k in (-2, -1, 1, 2), (a, k)
+
+    def test_the_cases_its_proof_leaves(self):
+        # |a - k| min(a, k) <= 2 leaves a, k <= 3
+        found = {
+            (a, k * a - 1) for a in range(1, 4) for k in range(1, 4)
+            if k * a - 1 >= 1 and (a * a + 1) % (k * a - 1) == 0
+        }
+        assert found == set(oracles._U_SOLUTIONS)
 
 
 class TestSigma33Breakdown:

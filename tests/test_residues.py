@@ -172,8 +172,16 @@ def terms_to_2002():
 
 class TestSigma22ChainFacts:
     # Every sigma_{2,2} prime pair p < q is (t_n, t_{n+1}) for some
-    # n >= 3, and q^2 + q + 1 = t_n t_{n+2}.  no_square_pair rests on the
-    # first two facts below, pqr on the last two.
+    # n >= 3, and q^2 + q + 1 = t_n t_{n+2}.  linked rests on the mod 3
+    # cycle, no_square_pair on the mod 31 cycle and the coprimality, and
+    # pqr on the rest (proofs in the residues module docstring).
+
+    def test_mod_3_has_period_3_and_a_zero_only_at_multiples_of_3(self, terms_to_2002):
+        profile = residue_profile(3)
+        assert profile.cycle == (1, 1, 0)
+        t = terms_to_2002
+        for n in range(1, 2003):
+            assert (t[n] % 3 == 0) == (n % 3 == 0), n
 
     def test_mod_31_has_period_16_and_no_zero(self):
         # a prime common to t_n and t_{n+2} divides 31, and no term does
@@ -200,3 +208,17 @@ class TestSigma22ChainFacts:
             for c in range(1, 24):
                 if t[n + 2] % c == 0:
                     assert (t[n + 2] // c + 1) % t[n], (n, c)
+
+    def test_two_steps_give_24_t_n_minus_5_t_n_minus_1_minus_6(self, terms_to_2002):
+        t = terms_to_2002
+        for n in range(2, 2001):
+            assert t[n + 2] == 24 * t[n] - 5 * t[n - 1] - 6, n
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_the_hand_cases(self, terms_to_2002, n):
+        # below n = 5 the cofactor bound does not hold, and at n = 5, 6
+        # it leaves c = t_{n-2} + 7: every divisor is tried instead
+        t = terms_to_2002
+        divisors = [r for r in range(2, t[n + 2] + 1) if t[n + 2] % r == 0]
+        assert divisors
+        assert all((r + 1) % t[n] for r in divisors), n

@@ -815,7 +815,9 @@ class TestResumeAcrossThePool:
         assert states == serial_states
         assert [s.n for s in states] == sorted({s.n for s in states})
         for state in states:
-            assert state.found == tuple(r for r in records if r.index <= state.n - 2)
+            assert state.found == tuple(
+                (r.index, r.p, r.q) for r in records if r.index <= state.n - 2
+            )
         with open(path, "rb") as handle:
             assert handle.read() == serial_file
 
@@ -881,7 +883,7 @@ class TestCheckpoints:
         records = search_pairs(2, digits_limit=10, checkpoint_path=path)
         loaded = load_checkpoint(path)
         assert loaded.m == 2
-        assert tuple(records) == loaded.found
+        assert loaded.found == tuple((r.index, r.p, r.q) for r in records)
         assert not os.path.exists(path + ".tmp")
         # chains with no pair: the walk's inline step ends where chain_next does
         for m, steps in ((3, 8), (6, 5)):
@@ -947,13 +949,15 @@ class TestCheckpoints:
         assert content == "sigma-chain-checkpoint v1\nm=2\nn=5\nprev=13\ncurr=61\n"
 
     def test_pair_lines_rehydrate_verdicts(self, tmp_path):
+        # the file holds positions only; a resume tests the recorded pair
         path = str(tmp_path / "walk.ck")
         path_text = (
             "sigma-chain-checkpoint v1\nm=2\nn=5\nprev=13\ncurr=61\npair 3 3 13\n"
         )
         Path(path).write_text(path_text, encoding="ascii")
         loaded = load_checkpoint(path)
-        (record,) = loaded.found
+        assert loaded.found == ((3, 3, 13),)
+        record = search_pairs(2, digits_limit=2, checkpoint=loaded)[0]
         assert (record.index, record.p, record.q) == (3, 3, 13)
         assert record.p_verdict.status is Primality.PRIME
         assert record.q_verdict.status is Primality.PRIME
@@ -979,13 +983,38 @@ class TestCheckpoints:
         with pytest.raises(CheckpointMismatch):
             load_checkpoint(path)
 
-    def test_rejects_composite_recorded_pair(self, tmp_path):
+    def test_rejects_composite_recorded_pair(self, tmp_path, run_cli):
+        # 291 = 3 * 97: the file loads, and the resume rejects it
         path = str(tmp_path / "walk.ck")
         Path(path).write_text(
             "sigma-chain-checkpoint v1\nm=2\nn=6\nprev=61\ncurr=291\npair 4 61 291\n"
         )
         with pytest.raises(CheckpointMismatch):
-            load_checkpoint(path)
+            search_pairs(2, digits_limit=20, checkpoint=load_checkpoint(path))
+        assert run_cli(
+            "search", "--m", "2", "--digits", "20", "--checkpoint", path
+        ) == (3, "")
+
+    def test_rejects_a_composite_pair_built_in_code(self):
+        # the recorded pair passes every check but the primality test
+        prev, curr = chain_terms(2, 10)[8:]
+        checkpoint = SearchCheckpoint(
+            m=2, n=10, prev=prev, curr=curr, found=((5, 61, 291),)
+        )
+        with pytest.raises(CheckpointMismatch, match="composite"):
+            search_pairs(2, digits_limit=20, checkpoint=checkpoint)
+
+    def test_loading_runs_no_primality_test(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "walk.ck")
+        records = search_pairs(2, digits_limit=20, checkpoint_path=path)
+
+        def untested(x, rounds=DEFAULT_ROUNDS):
+            raise AssertionError(f"is_prime called on {x}")
+
+        monkeypatch.setattr(search, "is_prime", untested)
+        loaded = load_checkpoint(path)
+        assert loaded.found == tuple((r.index, r.p, r.q) for r in records)
+        assert len(loaded.found) == 3
 
     def test_rejects_duplicated_pair_line(self, tmp_path):
         path = str(tmp_path / "walk.ck")
@@ -1011,7 +1040,9 @@ class TestCheckpoints:
     ):
         monkeypatch.chdir(tmp_path)
         records = search_pairs(2, digits_limit=5, checkpoint_path="walk.ck")
-        assert load_checkpoint("walk.ck").found == tuple(records)
+        assert load_checkpoint("walk.ck").found == tuple(
+            (r.index, r.p, r.q) for r in records
+        )
 
     def test_mismatched_m_on_resume(self, tmp_path):
         checkpoint = SearchCheckpoint(m=4, n=2, prev=5, curr=11, found=())
@@ -1032,12 +1063,10 @@ class TestCheckpoints:
             checked.clear()
             assert search_pairs(2, digits_limit=20, checkpoint=state) == records
             assert len(checked) == 4
-        first = loaded.found[0]
         for invalid in (
             dataclasses.replace(loaded, prev=loaded.prev + 1),
             dataclasses.replace(loaded, found=loaded.found[::-1]),
-            dataclasses.replace(loaded, found=(
-                dataclasses.replace(first, p_verdict=is_prime(291)),)),
+            dataclasses.replace(loaded, found=((3, 61, 291),)),  # 291 = 3 * 97
         ):
             with pytest.raises(CheckpointMismatch):
                 search_pairs(2, digits_limit=20, checkpoint=invalid)
@@ -1063,11 +1092,8 @@ class TestCheckpoints:
 
     def test_rejects_a_pair_member_below_1_before_any_arithmetic(self):
         # is_prime and is_quasisolution raise ValueError on such a term
-        record = search_pairs(2, digits_limit=2)[0]
         for p, q in ((-3, 13), (0, 13), (3, -13)):
-            checkpoint = SearchCheckpoint(m=2, n=5, prev=13, curr=61, found=(
-                dataclasses.replace(record, p=p, q=q),
-            ))
+            checkpoint = SearchCheckpoint(m=2, n=5, prev=13, curr=61, found=((3, p, q),))
             with pytest.raises(CheckpointMismatch):
                 search_pairs(2, digits_limit=20, checkpoint=checkpoint)
 
